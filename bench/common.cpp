@@ -168,7 +168,14 @@ BenchEnv::BenchEnv(int& argc, char** argv) : start_(std::chrono::steady_clock::n
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
     if (arg == "--threads" && has_value) {
-      threads = std::atoi(argv[++i]);
+      const std::string value = argv[++i];
+      const std::optional<int> n = util::parse_thread_count(value);
+      if (!n) {
+        std::cerr << "error: flag '--threads' expects an integer in [1, " << util::kMaxThreads
+                  << "], got '" << value << "'\n";
+        std::exit(2);
+      }
+      threads = *n;
     } else if (arg == "--metrics-out" && has_value) {
       metrics_out_ = argv[++i];
     } else if (arg == "--audit-out" && has_value) {

@@ -74,7 +74,8 @@ void banner(const std::string& figure, const std::string& claim);
 
 /// Shared bench flags, parsed first thing in every figure main:
 ///   --threads N         size the global compute pool (default: hardware,
-///                       or the ACCLAIM_THREADS environment variable)
+///                       or the ACCLAIM_THREADS environment variable); N must
+///                       be an integer in [1, 1024], else the bench exits 2
 ///   --metrics-out FILE  write a metrics-registry JSON snapshot on exit
 ///                       (render with `acclaim report --metrics FILE`)
 ///   --audit-out FILE    stream per-decision audit records (JSONL) for the

@@ -7,14 +7,12 @@
 // --naive additionally runs the rack-sharing ablation scheduler: it packs
 // more benchmarks per batch but co-located runs interfere, inflating the
 // *measured* latencies — the §III-D hazard the greedy algorithm avoids.
-#include <chrono>
 #include <cstring>
 #include <iostream>
 
 #include "common.hpp"
 #include "core/scheduler.hpp"
 #include "util/csv.hpp"
-#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 using namespace acclaim;
@@ -35,48 +33,36 @@ struct Replay {
   double parallel_s = 0.0;
   double avg_parallelism = 0.0;
   double measurement_inflation = 1.0;  ///< measured/solo latency ratio
-  /// Host wall clock spent simulating each path — the real time the thread
-  /// pool saves by running batch members concurrently. Not written to the
-  /// committed CSV (wall time is machine-dependent, the CSV must stay
-  /// deterministic).
-  double sequential_wall_s = 0.0;
-  double parallel_wall_s = 0.0;
 };
 
 Replay replay(const std::vector<bench::BenchmarkPoint>& points, const simnet::Topology& topo,
               const simnet::Allocation& alloc, bool topology_aware) {
-  using clock = std::chrono::steady_clock;
   // Sequential baseline.
   core::LiveEnvironment seq_env(topo, alloc, 11);
   std::vector<double> solo_us;
-  const auto seq_start = clock::now();
   for (const auto& p : points) {
     solo_us.push_back(seq_env.measure(p).mean_us);
   }
   Replay r;
-  r.sequential_wall_s = std::chrono::duration<double>(clock::now() - seq_start).count();
   r.sequential_s = seq_env.clock_s();
 
   // Parallel batches in the same priority order.
   core::LiveEnvironment par_env(topo, alloc, 11);
-  const core::CollectionScheduler sched(
-      core::CollectionSchedulerConfig{topology_aware, 1 << 20});
+  const core::CollectionScheduler sched(core::CollectionSchedulerConfig{topology_aware});
   std::vector<bench::BenchmarkPoint> pool = points;
   std::vector<double> inflation;
   int batches = 0;
   std::size_t done = 0;
-  const auto par_start = clock::now();
   while (!pool.empty()) {
     std::vector<std::size_t> ranked(pool.size());
     for (std::size_t i = 0; i < pool.size(); ++i) {
       ranked[i] = i;
     }
-    core::CollectionBatch batch =
-        sched.plan(pool, ranked, topo, alloc, par_env.solo_cost_oracle());
+    const core::CollectionBatch batch = sched.plan(pool, ranked, topo, alloc);
     if (batch.items.empty()) {
       break;  // top point does not fit this placement at all
     }
-    const auto ms = par_env.measure_scheduled(batch.items, batch.predicted_us);
+    const auto ms = par_env.measure_scheduled(batch.items);
     for (std::size_t i = 0; i < ms.size(); ++i) {
       inflation.push_back(ms[i].mean_us / solo_us[done + i]);
     }
@@ -88,7 +74,6 @@ Replay replay(const std::vector<bench::BenchmarkPoint>& points, const simnet::To
       pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(idx));
     }
   }
-  r.parallel_wall_s = std::chrono::duration<double>(clock::now() - par_start).count();
   r.parallel_s = par_env.clock_s();
   r.avg_parallelism = batches ? static_cast<double>(done) / batches : 0.0;
   double infl = 0.0;
@@ -116,16 +101,12 @@ int main(int argc, char** argv) {
   // collective, in priority order (from the precollected-dataset trace).
   const core::Evaluator ev(bebop_dataset());
   util::TablePrinter table({"collective", "placement", "sequential", "parallel", "speedup",
-                            "avg parallel", "meas. inflation", "host wall", "wall speedup"});
-  // The committed CSV keeps only the simulated columns: host wall time is
-  // machine-dependent and would churn the results on every run.
+                            "avg parallel", "meas. inflation"});
   util::CsvWriter csv(benchharness::results_path(naive ? "fig13_naive" : "fig13"));
   csv.header({"collective", "placement", "sequential_s", "parallel_s", "speedup",
               "avg_parallelism", "measurement_inflation"});
   const std::vector<std::string> placements = {"single-rack", "single-pair", "two-pairs",
                                                "max-parallel"};
-  double wall_seq_total_s = 0.0;
-  double wall_par_total_s = 0.0;
   for (coll::Collective c : coll::paper_collectives()) {
     core::DatasetEnvironment denv(bebop_dataset());
     core::AcclaimAcquisition policy;
@@ -145,16 +126,10 @@ int main(int argc, char** argv) {
       const simnet::Allocation alloc = simnet::fig13_placement(topo, placement, 64);
       const Replay r = replay(points, topo, alloc, /*topology_aware=*/!naive);
       const double speedup = r.parallel_s > 0 ? r.sequential_s / r.parallel_s : 1.0;
-      const double wall_speedup =
-          r.parallel_wall_s > 0 ? r.sequential_wall_s / r.parallel_wall_s : 1.0;
-      wall_seq_total_s += r.sequential_wall_s;
-      wall_par_total_s += r.parallel_wall_s;
       table.add_row({coll::collective_name(c), placement,
                      util::format_seconds(r.sequential_s), util::format_seconds(r.parallel_s),
                      util::fixed(speedup, 2) + "x", util::fixed(r.avg_parallelism, 2),
-                     util::fixed(r.measurement_inflation, 3),
-                     util::format_seconds(r.parallel_wall_s),
-                     util::fixed(wall_speedup, 2) + "x"});
+                     util::fixed(r.measurement_inflation, 3)});
       csv.row({coll::collective_name(c), placement, util::format_double(r.sequential_s),
                util::format_double(r.parallel_s), util::format_double(speedup),
                util::format_double(r.avg_parallelism),
@@ -162,17 +137,6 @@ int main(int argc, char** argv) {
     }
   }
   table.print(std::cout);
-  std::cout << "\nhost wall (" << util::global_threads() << " threads, "
-            << util::hardware_threads() << " hardware): sequential "
-            << util::format_seconds(wall_seq_total_s) << ", batched "
-            << util::format_seconds(wall_par_total_s) << " ("
-            << util::fixed(wall_par_total_s > 0 ? wall_seq_total_s / wall_par_total_s : 1.0, 2)
-            << "x aggregate speedup)\n";
-  if (util::hardware_threads() < util::global_threads()) {
-    std::cout << "(wall speedup is capped by hardware concurrency: the pool's "
-              << util::global_threads() << " threads time-slice "
-              << util::hardware_threads() << " core(s) on this host)\n";
-  }
   if (naive) {
     std::cout << "\n(rack-sharing inflates measured latencies; inflation >> 1 corrupts the\n"
                  " training data, which is why the greedy forbids shared racks)\n";

@@ -257,7 +257,9 @@ Dataset load_or_collect(const std::string& path, const simnet::MachineConfig& ma
     std::filesystem::create_directories(dir);
   }
   ds.save(path);
-  return ds;
+  // Return what every later run will load: the file stores rounded values,
+  // so handing back the in-memory collection would make the first run differ.
+  return Dataset::load(path);
 }
 
 }  // namespace acclaim::bench

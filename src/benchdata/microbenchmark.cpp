@@ -69,18 +69,6 @@ Measurement Microbenchmark::run_with_load(const BenchmarkPoint& point,
                                           util::Rng& rng) const {
   const auto host_start = std::chrono::steady_clock::now();
   const double base_us = run_schedule_us(net_, point, alloc, rack_flows, pair_flows);
-  return finish_run(point, base_us, rng, host_start);
-}
-
-Measurement Microbenchmark::run_priced(const BenchmarkPoint& point, double base_us,
-                                       util::Rng& rng) const {
-  require(base_us > 0.0, "run_priced requires a positive precomputed schedule time");
-  return finish_run(point, base_us, rng, std::chrono::steady_clock::now());
-}
-
-Measurement Microbenchmark::finish_run(const BenchmarkPoint& point, double base_us,
-                                       util::Rng& rng,
-                                       std::chrono::steady_clock::time_point host_start) const {
   const int iters = config_.timed_iterations(point.scenario.msg_bytes, base_us);
   const int warmup = static_cast<int>(std::ceil(config_.warmup_fraction * iters));
 
@@ -102,10 +90,8 @@ Measurement Microbenchmark::finish_run(const BenchmarkPoint& point, double base_
   static telemetry::Gauge& modeled = telemetry::metrics().gauge("simnet.modeled_run_us");
   static telemetry::Histogram& latency =
       telemetry::metrics().histogram("simnet.schedule_us", {1.0, 32});
-  // Host time spent simulating this point (schedule construction dominates):
-  // the quantity the fig13/fig14 host-wall columns aggregate. All
-  // instruments are atomic, so recording from concurrent batch members is
-  // safe.
+  // Host time spent simulating this point (schedule construction dominates).
+  // All instruments are atomic: bench::precollect records from pool workers.
   static telemetry::Histogram& host_wall =
       telemetry::metrics().histogram("simnet.microbench_wall_us", {1.0, 32});
   runs.add();

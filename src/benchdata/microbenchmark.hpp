@@ -7,8 +7,6 @@
 // quantity the paper's training-time figures accumulate.
 #pragma once
 
-#include <chrono>
-
 #include "benchdata/point.hpp"
 #include "minimpi/cost_executor.hpp"
 #include "simnet/allocation.hpp"
@@ -63,22 +61,9 @@ class Microbenchmark {
   /// launch overhead) in microseconds — the model-truth latency.
   double schedule_time_us(const BenchmarkPoint& point, const simnet::Allocation& alloc) const;
 
-  /// As `run`, but reusing a schedule time the caller already computed
-  /// (`base_us` must be schedule_time_us(point, <target allocation>)).
-  /// Produces bitwise-identical Measurements to `run` while skipping the
-  /// schedule construction — the dominant host cost. Used by
-  /// LiveEnvironment::measure_scheduled to avoid re-pricing placements the
-  /// CollectionScheduler's solo-cost oracle priced moments earlier.
-  Measurement run_priced(const BenchmarkPoint& point, double base_us, util::Rng& rng) const;
-
   const MicrobenchConfig& config() const noexcept { return config_; }
 
  private:
-  /// Shared measurement tail: iteration-count selection, noise sampling, and
-  /// collection-cost accounting on top of a known schedule time.
-  Measurement finish_run(const BenchmarkPoint& point, double base_us, util::Rng& rng,
-                         std::chrono::steady_clock::time_point host_start) const;
-
   const simnet::NetworkModel& net_;
   MicrobenchConfig config_;
 };

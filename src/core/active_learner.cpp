@@ -83,8 +83,7 @@ TrainingResult ActiveLearner::run() {
   std::size_t points_at_last_fit = 0;
   int nonp2_counter = 0;
 
-  const CollectionScheduler scheduler(
-      CollectionSchedulerConfig{config_.topology_aware, 1 << 20});
+  const CollectionScheduler scheduler(CollectionSchedulerConfig{config_.topology_aware});
   const bool can_parallel = config_.parallel_collection && env_.topology() != nullptr &&
                             env_.allocation() != nullptr;
 
@@ -141,28 +140,20 @@ TrainingResult ActiveLearner::run() {
     if (can_parallel && result.model.trained()) {
       const std::vector<std::size_t> ranked = policy_.rank(result.model, pool);
       if (!ranked.empty()) {
-        CollectionBatch batch = scheduler.plan(pool, ranked, *env_.topology(),
-                                               *env_.allocation(), env_.solo_cost_oracle());
+        CollectionBatch batch =
+            scheduler.plan(pool, ranked, *env_.topology(), *env_.allocation());
         if (!batch.items.empty()) {
-          // Apply the non-P2 cadence across scheduled items (§IV-B). The
-          // substitution changes the message size *after* plan() priced the
-          // placement, so the slot's predicted cost no longer describes the
-          // point; zeroing it forces the environment to rebuild the schedule
-          // for the substituted size instead of reusing the stale price.
-          for (std::size_t i = 0; i < batch.items.size(); ++i) {
-            auto& item = batch.items[i];
+          // Apply the non-P2 cadence across scheduled items (§IV-B).
+          for (auto& item : batch.items) {
             ++nonp2_counter;
             if (config_.parallel_nonp2_cadence > 0 &&
                 nonp2_counter % config_.parallel_nonp2_cadence == 0) {
               if (const auto m = env_.nonp2_msg_near(item.point.scenario.msg_bytes, rng)) {
                 item.point.scenario.msg_bytes = *m;
-                if (i < batch.predicted_us.size()) {
-                  batch.predicted_us[i] = 0.0;
-                }
               }
             }
           }
-          const auto measurements = env_.measure_scheduled(batch.items, batch.predicted_us);
+          const auto measurements = env_.measure_scheduled(batch.items);
           for (std::size_t i = 0; i < batch.items.size(); ++i) {
             result.collected.push_back({batch.items[i].point, measurements[i].mean_us});
             policy_.observe(batch.items[i].point, measurements[i].mean_us);

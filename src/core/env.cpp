@@ -7,7 +7,6 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace acclaim::core {
 
@@ -55,11 +54,6 @@ std::vector<bench::Measurement> TuningEnvironment::measure_scheduled(
     out.push_back(measure(item.point));
   }
   return out;
-}
-
-std::vector<bench::Measurement> TuningEnvironment::measure_scheduled(
-    const std::vector<ScheduledBenchmark>& batch, const std::vector<double>& /*predicted*/) {
-  return measure_scheduled(batch);
 }
 
 namespace {
@@ -127,20 +121,12 @@ bench::Measurement LiveEnvironment::measure(const bench::BenchmarkPoint& point) 
 
 std::vector<bench::Measurement> LiveEnvironment::measure_scheduled(
     const std::vector<ScheduledBenchmark>& batch) {
-  return measure_scheduled(batch, {});
-}
-
-std::vector<bench::Measurement> LiveEnvironment::measure_scheduled(
-    const std::vector<ScheduledBenchmark>& batch, const std::vector<double>& predicted) {
   require(!batch.empty(), "measure_scheduled requires a non-empty batch");
-  require(predicted.empty() || predicted.size() == batch.size(),
-          "predicted solo costs must be empty or parallel to the batch");
 
   // Which racks / pairs each co-running benchmark occupies, plus the
   // interference flows concurrent benchmarks inject into every rack / pair
   // they share with it. A disjoint schedule (the §IV-D greedy guarantees
-  // rack disjointness) sees none of this. Everything here is precomputed
-  // serially so the parallel bodies below are read-only on shared state.
+  // rack disjointness) sees none of this.
   std::vector<simnet::RegionFootprint> feet(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const auto& item = batch[i];
@@ -169,54 +155,26 @@ std::vector<bench::Measurement> LiveEnvironment::measure_scheduled(
     }
   }
 
-  // Noise streams are assigned in batch order *before* the parallel loop:
-  // measurement i always consumes stream measure_seq_+i no matter which
-  // thread runs it, which is what makes the measured values bitwise-equal to
-  // a sequential run of the same seed.
-  std::vector<util::Rng> rngs;
-  rngs.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    rngs.push_back(util::Rng::stream(noise_seed_, measure_seq_++));
-  }
-
-  // Run the batch's simulated microbenchmarks concurrently across their
-  // disjoint allocation slices. Each body reads only immutable shared state
-  // (network model, allocation, precomputed flow maps) and writes only its
-  // own slots.
-  std::vector<bench::Measurement> out(batch.size());
-  std::vector<double> item_wall_ms(batch.size(), 0.0);
-  const auto batch_start = std::chrono::steady_clock::now();
-  util::global_pool().parallel_for(0, batch.size(), [&](std::size_t i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    // An interference-free item whose placement the scheduler already priced
-    // reuses that schedule time (run_with_load with empty flow maps computes
-    // exactly predicted_solo_us, so the measurements are bitwise-identical);
-    // rebuilding the schedule would double the batched path's host cost. A
-    // non-positive prediction means "no usable hint" — either the caller
-    // invalidated the slot after mutating the point (non-P2 substitution) or
-    // a degenerate placement priced to zero — and takes the rebuild path.
-    if (!predicted.empty() && predicted[i] > 0.0 && rack_flows[i].empty() &&
-        pair_flows[i].empty()) {
-      out[i] = mb_.run_priced(batch[i].point, predicted[i], rngs[i]);
-    } else {
-      const simnet::Allocation sub =
-          alloc_.slice(batch[i].first_node, batch[i].point.scenario.nnodes);
-      out[i] = mb_.run_with_load(batch[i].point, sub, rack_flows[i], pair_flows[i], rngs[i]);
-    }
-    item_wall_ms[i] =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-            .count();
-  });
-  const double batch_wall_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - batch_start)
-          .count();
-
-  // Serial fold in slot order: clock accounting, telemetry, trace events.
+  // Simulate the items in batch order on their allocation slices; each takes
+  // the next noise stream, exactly as measuring them one by one would. The
+  // batch's collection time is its makespan: the items run concurrently on
+  // the simulated machine.
+  std::vector<bench::Measurement> out;
+  out.reserve(batch.size());
   double makespan_s = 0.0;
+  double batch_wall_ms = 0.0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    makespan_s = std::max(makespan_s, out[i].collect_cost_s);
-    note_benchmark("live-parallel", batch[i].point, out[i], static_cast<int>(i),
-                   item_wall_ms[i]);
+    const ScheduledBenchmark& item = batch[i];
+    const auto start = std::chrono::steady_clock::now();
+    util::Rng rng = util::Rng::stream(noise_seed_, measure_seq_++);
+    const simnet::Allocation sub = alloc_.slice(item.first_node, item.point.scenario.nnodes);
+    out.push_back(mb_.run_with_load(item.point, sub, rack_flows[i], pair_flows[i], rng));
+    const double wall_ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+            .count();
+    batch_wall_ms += wall_ms;
+    makespan_s = std::max(makespan_s, out.back().collect_cost_s);
+    note_benchmark("live-parallel", item.point, out.back(), static_cast<int>(i), wall_ms);
   }
   charge_s(makespan_s);
 
@@ -236,10 +194,6 @@ double LiveEnvironment::predicted_solo_us(const ScheduledBenchmark& item) const 
           "scheduled benchmark exceeds the job allocation");
   const simnet::Allocation sub = alloc_.slice(item.first_node, item.point.scenario.nnodes);
   return mb_.schedule_time_us(item.point, sub);
-}
-
-SoloCostFn LiveEnvironment::solo_cost_oracle() const {
-  return [this](const ScheduledBenchmark& item) { return predicted_solo_us(item); };
 }
 
 std::optional<std::uint64_t> LiveEnvironment::nonp2_msg_near(std::uint64_t p2_anchor,

@@ -9,7 +9,6 @@
 //      disjoint machine regions (§IV-D).
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -32,14 +31,6 @@ struct ScheduledBenchmark {
   int first_node = 0;  ///< index into the job allocation's node list
 };
 
-/// Predicted solo runtime (microseconds) of one placed benchmark. Installed
-/// by environments that can price a communication schedule without running
-/// it (LiveEnvironment builds the schedule against the cost model). Must be
-/// a pure, thread-safe function of its argument: the CollectionScheduler
-/// evaluates all placements of a batch concurrently, one result slot per
-/// candidate.
-using SoloCostFn = std::function<double(const ScheduledBenchmark&)>;
-
 /// Abstract measurement source with a collection-time clock.
 class TuningEnvironment {
  public:
@@ -54,19 +45,6 @@ class TuningEnvironment {
   virtual std::vector<bench::Measurement> measure_scheduled(
       const std::vector<ScheduledBenchmark>& batch);
 
-  /// As above, with the scheduler's predicted solo costs
-  /// (CollectionBatch::predicted_us, parallel to `batch`, or empty when the
-  /// plan was unscored). Environments that price schedules (LiveEnvironment)
-  /// reuse the prediction instead of rebuilding the schedule — bitwise the
-  /// same measurements, roughly half the host work. A slot whose prediction
-  /// is <= 0 carries no usable hint (the caller mutated the point after
-  /// plan() priced it, or the placement priced degenerate) and is rebuilt
-  /// from the point. The default forwards to the single-argument overload,
-  /// ignoring the hint.
-  virtual std::vector<bench::Measurement> measure_scheduled(
-      const std::vector<ScheduledBenchmark>& batch,
-      const std::vector<double>& predicted_solo_us);
-
   /// Accumulated collection time in seconds.
   double clock_s() const noexcept { return clock_s_; }
   void reset_clock() noexcept { clock_s_ = 0.0; }
@@ -80,11 +58,6 @@ class TuningEnvironment {
   /// nullptr when the environment cannot co-schedule (dataset lookups).
   virtual const simnet::Topology* topology() const { return nullptr; }
   virtual const simnet::Allocation* allocation() const { return nullptr; }
-
-  /// Cost oracle for the scheduler's parallel placement scoring; an empty
-  /// function when the environment cannot price schedules without running
-  /// them (dataset lookups).
-  virtual SoloCostFn solo_cost_oracle() const { return {}; }
 
  protected:
   void charge_s(double seconds) { clock_s_ += seconds; }
@@ -121,16 +94,14 @@ struct LiveEnvironmentConfig {
 };
 
 /// Fig. 1(b): measurements execute on the simulated machine inside the job's
-/// allocation; co-scheduled batches run concurrently and interfere when they
-/// share racks or pairs.
+/// allocation; co-scheduled batches run concurrently on the simulated clock
+/// and interfere when they share racks or pairs.
 ///
-/// Threading: measure_scheduled() runs the batch's simulated microbenchmarks
-/// concurrently on the global thread pool — the placements are disjoint node
-/// regions, so each item only reads the shared (immutable) NetworkModel and
-/// writes its own result slot. Measurement noise comes from counter-derived
-/// per-measurement streams (Rng::stream over a serial measurement sequence
-/// number), so every measured value is bitwise-identical for any thread
-/// count and for a sequential re-run of the same seed.
+/// The host simulates a batch's microbenchmarks one after another, in batch
+/// order. Measurement noise comes from counter-derived per-measurement
+/// streams (Rng::stream over a serial measurement sequence number), so a
+/// batch consumes exactly the streams its items would have consumed if
+/// measured one by one.
 class LiveEnvironment final : public TuningEnvironment {
  public:
   /// The environment references `topo` and `alloc`; both must outlive it.
@@ -141,15 +112,11 @@ class LiveEnvironment final : public TuningEnvironment {
   bench::Measurement measure(const bench::BenchmarkPoint& point) override;
   std::vector<bench::Measurement> measure_scheduled(
       const std::vector<ScheduledBenchmark>& batch) override;
-  std::vector<bench::Measurement> measure_scheduled(
-      const std::vector<ScheduledBenchmark>& batch,
-      const std::vector<double>& predicted_solo_us) override;
   std::optional<std::uint64_t> nonp2_msg_near(std::uint64_t p2_anchor,
                                               util::Rng& rng) override;
 
   const simnet::Topology* topology() const override { return &topo_; }
   const simnet::Allocation* allocation() const override { return &alloc_; }
-  SoloCostFn solo_cost_oracle() const override;
   const simnet::NetworkModel& network() const noexcept { return net_; }
 
   /// Deterministic predicted solo runtime of one placed benchmark (the
@@ -163,9 +130,8 @@ class LiveEnvironment final : public TuningEnvironment {
   bench::Microbenchmark mb_;
   LiveEnvironmentConfig config_;
   std::uint64_t noise_seed_ = 0;
-  /// Serial measurement sequence number: stream ids are handed out in batch
-  /// order *before* the parallel loop runs, which is what pins the noise to
-  /// the measurement, not to the thread schedule.
+  /// Serial measurement sequence number: the next measurement's noise
+  /// stream id.
   std::uint64_t measure_seq_ = 0;
 };
 

@@ -6,28 +6,21 @@
 #include "telemetry/profiler.hpp"
 #include "telemetry/trace.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace acclaim::core {
 
-CollectionScheduler::CollectionScheduler(CollectionSchedulerConfig config) : config_(config) {
-  require(config_.max_batch >= 1, "scheduler batch cap must be >= 1");
-}
+CollectionScheduler::CollectionScheduler(CollectionSchedulerConfig config) : config_(config) {}
 
 CollectionBatch CollectionScheduler::plan(const std::vector<bench::BenchmarkPoint>& pool,
                                           const std::vector<std::size_t>& ranked,
                                           const simnet::Topology& topo,
-                                          const simnet::Allocation& alloc,
-                                          const SoloCostFn& solo_cost) const {
+                                          const simnet::Allocation& alloc) const {
   telemetry::ScopedTimer timer("scheduler.plan");
   CollectionBatch batch;
   // Nodes are consumed strictly left-to-right in allocation order, so the
   // used region is always a prefix and `cursor` fully describes it.
   int cursor = 0;
   for (std::size_t pri : ranked) {
-    if (static_cast<int>(batch.items.size()) >= config_.max_batch) {
-      break;
-    }
     require(pri < pool.size(), "ranked index out of pool range");
     const int need = pool[pri].scenario.nnodes;
     if (cursor + need > alloc.num_nodes()) {
@@ -43,25 +36,6 @@ CollectionBatch CollectionScheduler::plan(const std::vector<bench::BenchmarkPoin
       const int last_rack = topo.rack_of(alloc.node(cursor - 1));
       while (cursor < alloc.num_nodes() && topo.rack_of(alloc.node(cursor)) <= last_rack) {
         ++cursor;
-      }
-    }
-  }
-
-  // Parallel placement scoring: each accepted candidate's solo schedule is
-  // priced concurrently (the expensive part — building the communication
-  // schedule against the cost model), one slot per candidate. The argmax
-  // fold below runs serially in slot order, so the predicted makespan and
-  // its witness are independent of the chunk-to-thread schedule.
-  if (solo_cost && !batch.items.empty()) {
-    batch.predicted_us.assign(batch.items.size(), 0.0);
-    util::global_pool().parallel_for(0, batch.items.size(), [&](std::size_t i) {
-      batch.predicted_us[i] = solo_cost(batch.items[i]);
-    });
-    for (std::size_t i = 0; i < batch.predicted_us.size(); ++i) {
-      if (batch.predicted_longest < 0 ||
-          batch.predicted_us[i] > batch.predicted_makespan_us) {
-        batch.predicted_makespan_us = batch.predicted_us[i];
-        batch.predicted_longest = static_cast<int>(i);
       }
     }
   }
@@ -85,11 +59,6 @@ CollectionBatch CollectionScheduler::plan(const std::vector<bench::BenchmarkPoin
     }
     occupancy.observe(static_cast<double>(occupied) /
                       static_cast<double>(alloc.num_nodes()));
-    if (!batch.predicted_us.empty()) {
-      static telemetry::Gauge& makespan =
-          telemetry::metrics().gauge("scheduler.predicted_makespan_us");
-      makespan.set(batch.predicted_makespan_us);
-    }
     if (telemetry::tracer().enabled()) {
       int nodes_used = 0;
       // Allocation fragments: maximal runs of consecutively-placed
@@ -130,10 +99,6 @@ CollectionBatch CollectionScheduler::plan(const std::vector<bench::BenchmarkPoin
       ev.fields["shared_racks"] = shared_racks;
       ev.fields["topology_aware"] = config_.topology_aware;
       ev.fields["candidates"] = ranked.size();
-      if (!batch.predicted_us.empty()) {
-        ev.fields["predicted_makespan_us"] = batch.predicted_makespan_us;
-        ev.fields["predicted_longest"] = batch.predicted_longest;
-      }
       telemetry::tracer().record(std::move(ev));
     }
   }

@@ -12,7 +12,6 @@
 // and layer-2 congestion between co-running benchmarks.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "core/env.hpp"
@@ -25,25 +24,12 @@ struct CollectionBatch {
   std::vector<ScheduledBenchmark> items;
   /// Pool indices consumed, aligned with `items`.
   std::vector<std::size_t> consumed;
-  /// Predicted solo runtime per item (parallel-scored when a SoloCostFn was
-  /// supplied to plan(); empty otherwise).
-  std::vector<double> predicted_us;
-  /// max(predicted_us): the batch's predicted makespan. The batch clock
-  /// advances by the *measured* makespan; the predicted one is what the
-  /// occupancy telemetry and trace events report before anything runs.
-  double predicted_makespan_us = 0.0;
-  /// Index of the predicted-longest item (first such index: the argmax
-  /// reduction runs in fixed slot order, so ties break deterministically
-  /// regardless of which thread scored which candidate). -1 when unscored.
-  int predicted_longest = -1;
 };
 
 struct CollectionSchedulerConfig {
   /// false = the naive ablation: pack sequentially with no rack
   /// disjointness, so co-running benchmarks interfere (§III-D hazard).
   bool topology_aware = true;
-  /// Cap on benchmarks per batch (the paper has none; kept as a safety).
-  int max_batch = 1 << 20;
 };
 
 class CollectionScheduler {
@@ -53,17 +39,9 @@ class CollectionScheduler {
   /// Plans one batch. `ranked` lists pool indices in decreasing priority
   /// (variance) order. Returns at least one item if the top point fits in
   /// the allocation at all.
-  ///
-  /// When `solo_cost` is supplied, every accepted (benchmark, slot)
-  /// placement is scored concurrently on the global thread pool — each
-  /// candidate writes only its own predicted_us slot — and the batch's
-  /// predicted makespan is folded with a fixed-order argmax, so the result
-  /// is bitwise-identical for any thread count. Scoring never changes which
-  /// placements are chosen (the greedy walk itself is the paper's, and
-  /// stays serial: it is a handful of integer comparisons).
   CollectionBatch plan(const std::vector<bench::BenchmarkPoint>& pool,
                        const std::vector<std::size_t>& ranked, const simnet::Topology& topo,
-                       const simnet::Allocation& alloc, const SoloCostFn& solo_cost = {}) const;
+                       const simnet::Allocation& alloc) const;
 
  private:
   CollectionSchedulerConfig config_;

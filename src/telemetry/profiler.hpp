@@ -6,8 +6,9 @@
 // per path and exports:
 //  * folded stacks ("a;b;c <self_us>" lines) consumable by flamegraph.pl /
 //    speedscope — the standard "where did the time go" artifact;
-//  * via telemetry::prometheus_text (metrics.hpp), the registry exposition
-//    the future acclaimd daemon will serve on /metrics.
+//  * via telemetry::prometheus_text (metrics.hpp), the registry in the
+//    Prometheus text format, which `acclaim train|tune-job --prom-out FILE`
+//    writes.
 //
 // Disabled by default: every ScopedTimer constructor is gated on one relaxed
 // atomic load, so instrumentation sites cost ~1 ns when profiling is off.

@@ -89,7 +89,7 @@ util::Json load_metrics_snapshot(const std::string& path);
 ///    duration ends at the event's timestamp — on thread lane 0;
 ///  * batched BenchmarkRun events (a `slot` field, as emitted by
 ///    LiveEnvironment::measure_scheduled) become complete spans of their
-///    `wall_ms` host duration on lane slot+1, visualizing batch overlap;
+///    `wall_ms` host duration on lane slot+1, one lane per batch slot;
 ///  * every other event becomes an instant ("i") event on lane 0.
 /// All original fields ride along under "args".
 util::Json chrome_trace_json(const std::vector<TraceEvent>& events);

@@ -184,31 +184,34 @@ int hardware_threads() noexcept {
   return n == 0 ? 1 : static_cast<int>(n);
 }
 
+std::optional<int> parse_thread_count(const std::string& text) {
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long n = std::strtol(begin, &end, 10);
+  if (end == begin || *end != '\0' || errno == ERANGE || n < 1 || n > kMaxThreads) {
+    return std::nullopt;
+  }
+  return static_cast<int>(n);
+}
+
 namespace {
 
 std::mutex g_pool_mu;
 std::unique_ptr<ThreadPool> g_pool;
 int g_requested = 0;  ///< 0 = env / hardware default
 
-/// Cap on ACCLAIM_THREADS: far above any real machine, low enough that a
-/// typo ("16000" for "16") cannot make the pool spawn thousands of workers.
-constexpr long kMaxEnvThreads = 1024;
-
 int default_threads() {
   if (const char* env = std::getenv("ACCLAIM_THREADS"); env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    errno = 0;
-    const long n = std::strtol(env, &end, 10);
-    const bool numeric = end != env && *end == '\0' && errno != ERANGE;
-    if (numeric && n >= 1 && n <= kMaxEnvThreads) {
-      return static_cast<int>(n);
+    if (const std::optional<int> n = parse_thread_count(env)) {
+      return *n;
     }
     // Garbage ("abc"), trailing junk ("4x"), non-positive, or absurd values
     // must not silently become some other thread count: warn and take the
     // hardware default instead.
     AC_LOG_WARN() << "ignoring ACCLAIM_THREADS='" << env << "': expected an integer in [1, "
-                  << kMaxEnvThreads << "]; using hardware default ("
-                  << hardware_threads() << ")";
+                  << kMaxThreads << "]; using hardware default (" << hardware_threads()
+                  << ")";
   }
   return hardware_threads();
 }

@@ -27,6 +27,8 @@
 #include <functional>
 #include <future>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -104,6 +106,16 @@ class ThreadPool {
 
 /// std::thread::hardware_concurrency with a floor of 1.
 int hardware_threads() noexcept;
+
+/// Largest thread count `--threads` and ACCLAIM_THREADS accept: far above
+/// any real machine, low enough that a typo ("16000" for "16") cannot make
+/// the pool spawn thousands of workers.
+inline constexpr int kMaxThreads = 1024;
+
+/// The check every thread-count surface applies (`--threads` on the CLI and
+/// the benches, ACCLAIM_THREADS): the whole of `text` must be a base-10
+/// integer in [1, kMaxThreads]. nullopt for anything else.
+std::optional<int> parse_thread_count(const std::string& text);
 
 /// The process-wide pool every parallel hot loop (forest fit/predict,
 /// jackknife sweeps, acquisition scoring) runs on. Created on first use

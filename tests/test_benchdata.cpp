@@ -239,6 +239,31 @@ TEST(Dataset, LoadOrCollectCaches) {
   std::remove(path.c_str());
 }
 
+TEST(Dataset, LoadOrCollectReturnsTheSameValuesOnEveryRun) {
+  // Regression: the collecting call returned the in-memory dataset while
+  // every later call loaded the rounded file, so a clean checkout's first
+  // bench run wrote different figures than every run after it.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "acclaim_ds_first_run_test.csv").string();
+  std::remove(path.c_str());
+  const bench::FeatureGrid g = bench::FeatureGrid::p2(4, 2, 64, 256);
+  const bench::Dataset collected = bench::load_or_collect(
+      path, testing_support::small_machine(), g, {coll::Collective::Bcast}, 13);
+  const bench::Dataset loaded = bench::load_or_collect(
+      path, testing_support::small_machine(), g, {coll::Collective::Bcast}, 13);
+  std::remove(path.c_str());
+  ASSERT_EQ(collected.size(), loaded.size());
+  for (const BenchmarkPoint& p : collected.points()) {
+    ASSERT_TRUE(loaded.contains(p)) << p.to_string();
+    const bench::Measurement& a = collected.at(p);
+    const bench::Measurement& b = loaded.at(p);
+    EXPECT_EQ(a.mean_us, b.mean_us) << p.to_string();
+    EXPECT_EQ(a.stddev_us, b.stddev_us) << p.to_string();
+    EXPECT_EQ(a.iterations, b.iterations) << p.to_string();
+    EXPECT_EQ(a.collect_cost_s, b.collect_cost_s) << p.to_string();
+  }
+}
+
 TEST(Dataset, CollectionCostsArePositiveAndSummable) {
   const bench::Dataset& ds = testing_support::small_dataset();
   double total = 0.0;

@@ -1,10 +1,12 @@
-// Unit tests for the CLI flag parser.
+// Unit tests for the CLI flag parser and the figure benches' shared flags.
 #include <gtest/gtest.h>
 
 #include <array>
 
+#include "../bench/common.hpp"
 #include "../tools/cli_args.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -98,6 +100,56 @@ TEST(CliArgs, StillAcceptsWellFormedNumericValues) {
   EXPECT_EQ(args.get_int("threads", 1), 8);
   EXPECT_DOUBLE_EQ(args.get_double("speedup", 1.0), 1.25);
   EXPECT_EQ(args.get_bytes("msg", 0), 4096u);
+}
+
+// Regression: --threads went through get_int, so "-3" silently ran at the
+// default and a huge value made the pool spawn that many workers. It now
+// takes ACCLAIM_THREADS's range and nothing else.
+TEST(CliArgs, ThreadsFlagAcceptsOnlyTheThreadRange) {
+  for (const char* bad : {"-3", "0", "1025", "2147483647", "abc", "4x", ""}) {
+    const Args args = parse({"--threads", bad}, {"threads"});
+    try {
+      args.get_threads("threads");
+      FAIL() << "expected InvalidArgument for --threads " << bad;
+    } catch (const acclaim::InvalidArgument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("--threads"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("'" + std::string(bad) + "'"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("[1, 1024]"), std::string::npos) << msg;
+    }
+  }
+  EXPECT_EQ(parse({"--threads", "1"}, {"threads"}).get_threads("threads"), 1);
+  EXPECT_EQ(parse({"--threads", "1024"}, {"threads"}).get_threads("threads"), 1024);
+  EXPECT_EQ(parse({}, {"threads"}).get_threads("threads"), 0);  // absent: pool default
+}
+
+/// Runs the figure benches' flag parsing over `tokens` (argv[0] first).
+int bench_env_threads(std::vector<std::string> tokens) {
+  std::vector<char*> argv;
+  for (auto& t : tokens) {
+    argv.push_back(t.data());
+  }
+  int argc = static_cast<int>(argv.size());
+  const acclaim::benchharness::BenchEnv env(argc, argv.data());
+  EXPECT_EQ(argc, 1) << "BenchEnv must consume --threads and its value";
+  return acclaim::util::global_threads();
+}
+
+// Regression: BenchEnv parsed --threads with std::atoi, so "abc", "4x", "-2"
+// and "0" all silently ran at hardware concurrency.
+TEST(BenchEnvDeathTest, RejectsThreadCountsOutsideTheThreadRange) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (const char* bad : {"abc", "4x", "-2", "0", "1025"}) {
+    EXPECT_EXIT(bench_env_threads({"fig", "--threads", bad}), ::testing::ExitedWithCode(2),
+                "--threads.*'" + std::string(bad) + "'")
+        << "--threads " << bad;
+  }
+}
+
+TEST(BenchEnv, AcceptsThreadCountsInRange) {
+  const int original = acclaim::util::global_threads();
+  EXPECT_EQ(bench_env_threads({"fig", "--threads", "3"}), 3);
+  acclaim::util::set_global_threads(original);
 }
 
 TEST(CliArgs, RejectsMalformedInput) {

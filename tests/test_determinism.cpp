@@ -245,7 +245,7 @@ std::vector<bench::BenchmarkPoint> golden_pool() {
 }
 
 /// Byte-fingerprint of one planned-and-measured batch: every scheduler
-/// decision, every predicted cost, and every simulated measurement.
+/// decision and every simulated measurement.
 std::string batch_fingerprint(int threads) {
   util::set_global_threads(threads);
   const simnet::Topology topo(golden_machine());
@@ -262,17 +262,14 @@ std::string batch_fingerprint(int threads) {
     ranked[i] = i;
   }
   const core::CollectionScheduler scheduler;
-  const core::CollectionBatch batch =
-      scheduler.plan(pool, ranked, topo, alloc, env.solo_cost_oracle());
+  const core::CollectionBatch batch = scheduler.plan(pool, ranked, topo, alloc);
   const std::vector<bench::Measurement> ms = env.measure_scheduled(batch.items);
 
   std::ostringstream os;
-  for (std::size_t i = 0; i < batch.items.size(); ++i) {
-    os << batch.items[i].point.to_string() << "@" << batch.items[i].first_node << ":"
-       << hex_bits(batch.predicted_us[i]) << ";";
+  for (const core::ScheduledBenchmark& item : batch.items) {
+    os << item.point.to_string() << "@" << item.first_node << ";";
   }
-  os << "makespan=" << hex_bits(batch.predicted_makespan_us)
-     << ",longest=" << batch.predicted_longest << "|";
+  os << "|";
   for (const bench::Measurement& m : ms) {
     os << hex_bits(m.mean_us) << "," << hex_bits(m.stddev_us) << "," << m.iterations << ","
        << hex_bits(m.collect_cost_s) << ";";
@@ -284,7 +281,7 @@ std::string batch_fingerprint(int threads) {
 TEST(GoldenDeterminism, ScheduledBatchBitwiseIdenticalAcrossThreads) {
   ThreadGuard guard;
   const std::string golden = batch_fingerprint(1);
-  // The batch actually exercises the parallel paths (several items).
+  // The batch co-schedules several items.
   EXPECT_GT(golden.size(), 100u);
   for (int threads : kThreadCounts) {
     EXPECT_EQ(batch_fingerprint(threads), golden) << "threads=" << threads;

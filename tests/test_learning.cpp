@@ -79,60 +79,12 @@ TEST_F(SchedulerTest, NaiveSchedulerPacksMoreButSharesRacks) {
     ids[static_cast<std::size_t>(i)] = i;
   }
   const simnet::Allocation alloc(ids);
-  const core::CollectionScheduler naive(core::CollectionSchedulerConfig{false, 1 << 20});
+  const core::CollectionScheduler naive(core::CollectionSchedulerConfig{false});
   const auto batch = naive.plan(pool, ranked, topo_, alloc);
   EXPECT_EQ(batch.items.size(), 8u);  // 8 x 2 nodes fill all 16
   // Benchmarks 0 and 1 share rack 0 — the congestion hazard of §III-D.
   EXPECT_EQ(topo_.rack_of(alloc.node(batch.items[0].first_node)),
             topo_.rack_of(alloc.node(batch.items[1].first_node)));
-}
-
-TEST_F(SchedulerTest, ScoresPlacementsWithSuppliedOracle) {
-  std::vector<BenchmarkPoint> pool(8, point_needing(2));
-  std::vector<std::size_t> ranked = {0, 1, 2, 3, 4, 5, 6, 7};
-  std::vector<int> ids(16);
-  for (int i = 0; i < 16; ++i) {
-    ids[static_cast<std::size_t>(i)] = i;
-  }
-  const simnet::Allocation alloc(ids);
-  const core::CollectionScheduler sched;
-
-  // No oracle: the plan carries no predictions.
-  const auto unscored = sched.plan(pool, ranked, topo_, alloc);
-  EXPECT_TRUE(unscored.predicted_us.empty());
-  EXPECT_EQ(unscored.predicted_longest, -1);
-
-  // An oracle keyed on the placement slot: predictions land in slot order,
-  // the makespan is the max, and the witness points at it. The same
-  // placements are chosen either way — scoring never changes the plan.
-  const core::SoloCostFn oracle = [](const core::ScheduledBenchmark& item) {
-    return 100.0 + item.first_node;
-  };
-  const auto scored = sched.plan(pool, ranked, topo_, alloc, oracle);
-  ASSERT_EQ(scored.items.size(), unscored.items.size());
-  ASSERT_EQ(scored.predicted_us.size(), scored.items.size());
-  for (std::size_t i = 0; i < scored.items.size(); ++i) {
-    EXPECT_EQ(scored.items[i].first_node, unscored.items[i].first_node);
-    EXPECT_EQ(scored.predicted_us[i], 100.0 + scored.items[i].first_node);
-  }
-  EXPECT_EQ(scored.predicted_makespan_us,
-            100.0 + scored.items.back().first_node);
-  EXPECT_EQ(scored.predicted_longest, static_cast<int>(scored.items.size()) - 1);
-}
-
-TEST_F(SchedulerTest, PredictedLongestBreaksTiesTowardFirstSlot) {
-  std::vector<BenchmarkPoint> pool(4, point_needing(2));
-  std::vector<int> ids(16);
-  for (int i = 0; i < 16; ++i) {
-    ids[static_cast<std::size_t>(i)] = i;
-  }
-  const simnet::Allocation alloc(ids);
-  const core::CollectionScheduler sched;
-  const core::SoloCostFn constant = [](const core::ScheduledBenchmark&) { return 7.0; };
-  const auto batch = sched.plan(pool, {0, 1, 2, 3}, topo_, alloc, constant);
-  ASSERT_GT(batch.items.size(), 1u);
-  EXPECT_EQ(batch.predicted_makespan_us, 7.0);
-  EXPECT_EQ(batch.predicted_longest, 0);  // fixed-order argmax: first wins
 }
 
 TEST_F(SchedulerTest, MaxParallelPlacementExposesMoreParallelism) {

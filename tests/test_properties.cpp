@@ -276,9 +276,8 @@ TEST_F(ThreadStress, RepeatedResizeUnderWork) {
 
 TEST_F(ThreadStress, ScheduledBatchesDeterministicUnderRandomPoolsAndThreads) {
   // Randomized batches through the §IV-D scheduler + LiveEnvironment: the
-  // placements, the parallel predicted-cost scoring, and the concurrently
-  // simulated measurements must all match a single-threaded reference run,
-  // whatever pool composition or thread count the trial draws.
+  // placements and the simulated measurements must match a single-threaded
+  // reference run, whatever pool composition or thread count the trial draws.
   util::Rng meta(0x5CED);
   const simnet::MachineConfig machine = testing_support::small_machine();
   const simnet::Topology topo(machine);
@@ -308,108 +307,31 @@ TEST_F(ThreadStress, ScheduledBatchesDeterministicUnderRandomPoolsAndThreads) {
     }
 
     const core::CollectionScheduler scheduler;
-    // `priced` toggles the predicted-cost reuse path (run_priced) against
-    // the full schedule rebuild (run_with_load); both must produce bitwise
-    // the same measurements.
-    auto run_once = [&](bool priced) {
+    auto run_once = [&]() {
       core::LiveEnvironment env(topo, alloc, job_seed);
-      const core::CollectionBatch batch =
-          scheduler.plan(pool, ranked, topo, alloc, env.solo_cost_oracle());
-      const auto ms = priced ? env.measure_scheduled(batch.items, batch.predicted_us)
-                             : env.measure_scheduled(batch.items);
+      const core::CollectionBatch batch = scheduler.plan(pool, ranked, topo, alloc);
+      const auto ms = env.measure_scheduled(batch.items);
       return std::make_tuple(batch, ms, env.clock_s());
     };
 
     util::set_global_threads(1);
-    const auto [ref_batch, ref_ms, ref_clock] = run_once(false);
+    const auto [ref_batch, ref_ms, ref_clock] = run_once();
     ASSERT_FALSE(ref_batch.items.empty());
 
     const int threads = 2 + static_cast<int>(meta.uniform_int(0, 6));
     util::set_global_threads(threads);
-    const auto [batch, ms, clock] = run_once(true);
+    const auto [batch, ms, clock] = run_once();
     ASSERT_EQ(batch.items.size(), ref_batch.items.size()) << "trial=" << trial;
     for (std::size_t i = 0; i < batch.items.size(); ++i) {
       ASSERT_EQ(batch.items[i].first_node, ref_batch.items[i].first_node);
       ASSERT_EQ(batch.consumed[i], ref_batch.consumed[i]);
-      ASSERT_EQ(batch.predicted_us[i], ref_batch.predicted_us[i])
+      ASSERT_EQ(ms[i].mean_us, ref_ms[i].mean_us)
           << "trial=" << trial << " threads=" << threads << " slot=" << i;
-      ASSERT_EQ(ms[i].mean_us, ref_ms[i].mean_us);
       ASSERT_EQ(ms[i].stddev_us, ref_ms[i].stddev_us);
       ASSERT_EQ(ms[i].collect_cost_s, ref_ms[i].collect_cost_s);
     }
-    ASSERT_EQ(batch.predicted_makespan_us, ref_batch.predicted_makespan_us);
-    ASSERT_EQ(batch.predicted_longest, ref_batch.predicted_longest);
     ASSERT_EQ(clock, ref_clock) << "trial=" << trial << " threads=" << threads;
   }
-}
-
-TEST_F(ThreadStress, MutatedPointsBetweenPlanAndMeasureInvalidateThePriceHint) {
-  // The §IV-B non-P2 cadence rewrites a scheduled item's message size AFTER
-  // plan() priced the placements. The active learner zeroes the mutated
-  // slot's predicted cost, and measure_scheduled must treat any hint <= 0 as
-  // "rebuild from the point" — otherwise the mutated point gets simulated
-  // with the schedule time of the original message size and the training row
-  // is corrupted. Priced (with invalidated slots) and rebuilt paths must be
-  // bitwise-identical.
-  const simnet::MachineConfig machine = testing_support::small_machine();
-  const simnet::Topology topo(machine);
-  std::vector<int> ids(static_cast<std::size_t>(machine.total_nodes));
-  for (int i = 0; i < machine.total_nodes; ++i) {
-    ids[static_cast<std::size_t>(i)] = i;
-  }
-  const simnet::Allocation alloc(ids);
-
-  std::vector<bench::BenchmarkPoint> pool;
-  const auto algorithms = coll::algorithms_for(coll::Collective::Bcast);
-  for (int i = 0; i < 4; ++i) {
-    bench::BenchmarkPoint p;
-    p.scenario.collective = coll::Collective::Bcast;
-    p.scenario.nnodes = 2;
-    p.scenario.ppn = 2;
-    p.scenario.msg_bytes = 1024u << i;
-    p.algorithm = algorithms[static_cast<std::size_t>(i) % algorithms.size()];
-    pool.push_back(p);
-  }
-  std::vector<std::size_t> ranked(pool.size());
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    ranked[i] = i;
-  }
-
-  constexpr std::uint64_t kJobSeed = 0xF00D;
-  const core::CollectionScheduler scheduler;
-  core::LiveEnvironment plan_env(topo, alloc, kJobSeed);
-  core::CollectionBatch batch =
-      scheduler.plan(pool, ranked, topo, alloc, plan_env.solo_cost_oracle());
-  ASSERT_GE(batch.items.size(), 2u);
-  ASSERT_EQ(batch.predicted_us.size(), batch.items.size());
-
-  // Simulate the non-P2 substitution on slot 0: a different (non-P2) message
-  // size than the one plan() priced, hint invalidated exactly as the active
-  // learner does it.
-  batch.items[0].point.scenario.msg_bytes = 1536;  // non-P2 near 1024
-  batch.predicted_us[0] = 0.0;
-
-  util::set_global_threads(4);
-  core::LiveEnvironment priced_env(topo, alloc, kJobSeed);
-  const auto priced = priced_env.measure_scheduled(batch.items, batch.predicted_us);
-
-  util::set_global_threads(1);
-  core::LiveEnvironment rebuilt_env(topo, alloc, kJobSeed);
-  const auto rebuilt = rebuilt_env.measure_scheduled(batch.items);
-
-  ASSERT_EQ(priced.size(), rebuilt.size());
-  for (std::size_t i = 0; i < priced.size(); ++i) {
-    ASSERT_EQ(priced[i].mean_us, rebuilt[i].mean_us) << "slot=" << i;
-    ASSERT_EQ(priced[i].stddev_us, rebuilt[i].stddev_us) << "slot=" << i;
-    ASSERT_EQ(priced[i].collect_cost_s, rebuilt[i].collect_cost_s) << "slot=" << i;
-  }
-  ASSERT_EQ(priced_env.clock_s(), rebuilt_env.clock_s());
-  // The un-mutated slots still carry usable hints, and the stale price for
-  // slot 0 (1024 bytes) must NOT equal the rebuilt measurement's schedule
-  // base for 1536 bytes — i.e. the hint really was wrong to reuse.
-  core::ScheduledBenchmark mutated = batch.items[0];
-  ASSERT_NE(rebuilt_env.predicted_solo_us(mutated),
-            plan_env.predicted_solo_us({pool[batch.consumed[0]], mutated.first_node}));
 }
 
 TEST_F(ThreadStress, PrecollectDeterministicAcrossThreads) {

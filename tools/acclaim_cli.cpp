@@ -129,7 +129,7 @@ int cmd_collect(const cli::Args& args) {
 // and Prometheus expositions afterwards.
 void open_telemetry(const cli::Args& args) {
   if (args.has("threads")) {
-    util::set_global_threads(args.get_int("threads", 0));
+    util::set_global_threads(args.get_threads("threads"));
   }
   if (args.has("trace-out")) {
     telemetry::tracer().open_stream(args.get("trace-out"));
@@ -217,7 +217,7 @@ int cmd_train(const cli::Args& args) {
   core::ActiveLearnerConfig cfg;
   cfg.forest.n_trees = args.get_int("trees", 50);
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  cfg.threads = args.get_int("threads", 0);
+  cfg.threads = args.get_threads("threads");
   if (args.has("max-points")) {
     cfg.max_points = args.get_int("max-points", -1);
   }
@@ -254,7 +254,7 @@ int cmd_tune_job(const cli::Args& args) {
   core::ActiveLearnerConfig learner;
   learner.forest.n_trees = args.get_int("trees", 50);
   learner.max_points = args.get_int("max-points", 250);
-  learner.threads = args.get_int("threads", 0);
+  learner.threads = args.get_threads("threads");
   const core::AcclaimPipeline pipeline(machine_by_name(args.get("machine", "theta")), learner);
   const core::PipelineResult result = pipeline.run(spec);
   util::TablePrinter table({"collective", "points", "time", "converged"});
@@ -295,7 +295,7 @@ int cmd_fleet(const cli::Args& args) {
   config.collectives_per_job = args.get_int("collectives-per-job", 2);
   config.learner.forest.n_trees = args.get_int("trees", 20);
   config.learner.max_points = args.get_int("max-points", 90);
-  config.learner.threads = args.get_int("threads", 0);
+  config.learner.threads = args.get_threads("threads");
 
   serve::ModelStore store;
   const fleet::FleetResult result = fleet::replay_fleet(config, store);

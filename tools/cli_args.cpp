@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace acclaim::cli {
@@ -17,7 +18,7 @@ namespace {
 /// dies with a message the user can act on instead of an uncaught
 /// std::invalid_argument abort.
 [[noreturn]] void bad_value(const std::string& flag, const std::string& value,
-                            const char* expected) {
+                            const std::string& expected) {
   throw InvalidArgument("flag '--" + flag + "' expects " + expected + ", got '" + value +
                         "'");
 }
@@ -90,6 +91,18 @@ std::string Args::require_flag(const std::string& flag) const {
 
 int Args::get_int(const std::string& flag, int fallback) const {
   return has(flag) ? parse_int_value(flag, values_.at(flag)) : fallback;
+}
+
+int Args::get_threads(const std::string& flag) const {
+  if (!has(flag)) {
+    return 0;
+  }
+  const std::string& value = values_.at(flag);
+  const std::optional<int> n = util::parse_thread_count(value);
+  if (!n) {
+    bad_value(flag, value, "an integer in [1, " + std::to_string(util::kMaxThreads) + "]");
+  }
+  return *n;
 }
 
 double Args::get_double(const std::string& flag, double fallback) const {

@@ -21,6 +21,10 @@ class Args {
   /// Throws InvalidArgument naming the flag if absent.
   std::string require_flag(const std::string& flag) const;
   int get_int(const std::string& flag, int fallback) const;
+  /// A thread count: 0 (the pool's default) if absent, else an integer in
+  /// [1, util::kMaxThreads]; anything else throws InvalidArgument naming
+  /// the flag and value.
+  int get_threads(const std::string& flag) const;
   double get_double(const std::string& flag, double fallback) const;
   std::uint64_t get_bytes(const std::string& flag, std::uint64_t fallback) const;
 
