@@ -4,9 +4,10 @@
 // determine how long the figure harnesses and the production pipeline take.
 //
 // `--json-out DIR` switches the binary into regression-gate mode instead of
-// running google-benchmark: it times the pointer forest against the fused
-// SoA kernel on a fig10/fig12-shaped jackknife sweep, checks the two paths
-// bitwise-equal, and writes DIR/BENCH_micro_forest.json for CI to parse.
+// running google-benchmark: it times walking the fitted trees node by node
+// against the forest's fused SoA kernel on a fig10/fig12-shaped jackknife
+// sweep, checks the two paths bitwise-equal, and writes
+// DIR/BENCH_micro_forest.json for CI to parse.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -204,9 +205,12 @@ BENCHMARK(BM_EncodePoint);
 /// A fig10/fig12-shaped forest workload: the full bebop P2 candidate pool of
 /// one collective (every scenario x algorithm the jackknife acquisition
 /// scores per round), a bench-forest-sized ensemble trained on smooth
-/// synthetic log-times over those same encoded features.
+/// synthetic log-times over those same encoded features. The fixture keeps
+/// the fitted trees (the node-walk reference) beside the forest flattened
+/// from them.
 struct SweepFixture {
   std::vector<ml::FeatureRow> rows;
+  std::vector<ml::DecisionTree> trees;
   ml::RandomForest forest;
 
   SweepFixture() {
@@ -228,9 +232,19 @@ struct SweepFixture {
       y.push_back(0.4 * f[0] + 0.2 * f[1] + 0.15 * f[2] + alg_bias + rng.normal(0.0, 0.05));
       rows.push_back(f);
     }
-    ml::ForestParams params;
-    params.n_trees = 50;  // the figure harnesses' bench_forest() size
-    forest.fit(rows, y, params, 7);
+    // The figure harnesses' bench_forest() size: 50 bootstrap trees, seeded
+    // the way RandomForest::fit seeds them.
+    util::Rng seeds(7);
+    trees.resize(50);
+    for (ml::DecisionTree& tree : trees) {
+      util::Rng tree_rng(seeds.next_u64());
+      std::vector<std::size_t> sample(rows.size());
+      for (std::size_t& i : sample) {
+        i = tree_rng.index(rows.size());
+      }
+      tree.fit(rows, y, sample, ml::TreeParams{}, tree_rng);
+    }
+    forest = ml::RandomForest::from_trees(trees);
   }
 
   static const SweepFixture& instance() {
@@ -239,15 +253,38 @@ struct SweepFixture {
   }
 };
 
+/// jackknife_batch's outputs the slow way: each row walks every fitted tree
+/// with DecisionTree::predict, then the same tree-order reductions. Either
+/// output may be null.
+void walk_trees(const SweepFixture& fx, double* variances, double* means,
+                std::vector<double>& preds) {
+  const std::size_t nt = fx.trees.size();
+  preds.resize(nt);
+  for (std::size_t r = 0; r < fx.rows.size(); ++r) {
+    for (std::size_t t = 0; t < nt; ++t) {
+      preds[t] = fx.trees[t].predict(fx.rows[r]);
+    }
+    if (variances != nullptr) {
+      variances[r] = ml::jackknife_variance(preds.data(), nt);
+    }
+    if (means != nullptr) {
+      double sum = 0.0;
+      for (std::size_t t = 0; t < nt; ++t) {
+        sum += preds[t];
+      }
+      means[r] = sum / static_cast<double>(nt);
+    }
+  }
+}
+
 /// One full jackknife sweep over the candidate pool (what jackknife_variances
-/// does once per acquisition round) on the original pointer-chasing engine.
+/// does once per acquisition round), walking the node-struct trees.
 void BM_JackknifeSweepPointer(benchmark::State& state) {
   const SweepFixture& fx = SweepFixture::instance();
-  ml::ForestBackendGuard guard(ml::ForestBackend::Pointer);
   std::vector<double> var(fx.rows.size());
-  std::vector<double> scratch;
+  std::vector<double> preds;
   for (auto _ : state) {
-    fx.forest.jackknife_batch(fx.rows.data(), fx.rows.size(), var.data(), nullptr, scratch);
+    walk_trees(fx, var.data(), nullptr, preds);
     benchmark::DoNotOptimize(var.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -258,7 +295,6 @@ BENCHMARK(BM_JackknifeSweepPointer);
 /// The same sweep through the fused SoA batch kernel.
 void BM_JackknifeSweepFused(benchmark::State& state) {
   const SweepFixture& fx = SweepFixture::instance();
-  ml::ForestBackendGuard guard(ml::ForestBackend::Flat);
   std::vector<double> var(fx.rows.size());
   std::vector<double> scratch;
   for (auto _ : state) {
@@ -273,10 +309,9 @@ BENCHMARK(BM_JackknifeSweepFused);
 /// Batched per-tree predictions alone (no jackknife reduction), SoA arena.
 void BM_FlatPredictTreesBatch(benchmark::State& state) {
   const SweepFixture& fx = SweepFixture::instance();
-  const ml::FlatForest& flat = fx.forest.flat();
-  std::vector<double> out(fx.rows.size() * flat.n_trees());
+  std::vector<double> out(fx.rows.size() * fx.forest.n_trees());
   for (auto _ : state) {
-    flat.predict_trees_batch(fx.rows.data(), fx.rows.size(), out.data());
+    fx.forest.predict_trees_batch(fx.rows.data(), fx.rows.size(), out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -284,10 +319,10 @@ void BM_FlatPredictTreesBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_FlatPredictTreesBatch);
 
-/// Regression-gate mode (`--json-out DIR`): single-threaded pointer-vs-SoA
+/// Regression-gate mode (`--json-out DIR`): single-threaded tree-walk-vs-SoA
 /// comparison on the SweepFixture workload, bitwise-equality check, and a
 /// BENCH_micro_forest.json artifact in the house format (figure/rows/
-/// host_wall_s) so CI can fail the PR if the SoA engine ever loses ground.
+/// host_wall_s) so CI can fail the PR if the SoA kernel ever loses ground.
 int run_forest_gate(const std::string& out_dir) {
   const auto wall_start = std::chrono::steady_clock::now();
   const SweepFixture& fx = SweepFixture::instance();
@@ -296,12 +331,11 @@ int run_forest_gate(const std::string& out_dir) {
   std::vector<double> var_ptr(n), mean_ptr(n), var_flat(n), mean_flat(n);
   std::vector<double> scratch;
   constexpr int kReps = 7;
-  auto time_path = [&](ml::ForestBackend backend, double* var, double* mean) {
-    ml::ForestBackendGuard guard(backend);
+  auto time_path = [&](const auto& sweep) {
     double best_s = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < kReps; ++rep) {  // first rep doubles as warmup
       const auto t0 = std::chrono::steady_clock::now();
-      fx.forest.jackknife_batch(fx.rows.data(), n, var, mean, scratch);
+      sweep();
       const double s =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
       if (rep > 0) {
@@ -310,9 +344,11 @@ int run_forest_gate(const std::string& out_dir) {
     }
     return best_s;
   };
-  const double ptr_s = time_path(ml::ForestBackend::Pointer, var_ptr.data(), mean_ptr.data());
-  const double flat_s =
-      time_path(ml::ForestBackend::Flat, var_flat.data(), mean_flat.data());
+  const double ptr_s =
+      time_path([&] { walk_trees(fx, var_ptr.data(), mean_ptr.data(), scratch); });
+  const double flat_s = time_path([&] {
+    fx.forest.jackknife_batch(fx.rows.data(), n, var_flat.data(), mean_flat.data(), scratch);
+  });
 
   const bool bitwise_equal =
       std::memcmp(var_ptr.data(), var_flat.data(), n * sizeof(double)) == 0 &&
@@ -349,7 +385,7 @@ int run_forest_gate(const std::string& out_dir) {
   doc.dump_file(out_dir + "/BENCH_micro_forest.json");
 
   if (!bitwise_equal) {
-    std::cerr << "forest gate: SoA results diverge from the pointer engine\n";
+    std::cerr << "forest gate: SoA results diverge from walking the trees\n";
     return 1;
   }
   return 0;

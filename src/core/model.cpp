@@ -130,6 +130,9 @@ CollectiveModel CollectiveModel::from_json(const util::Json& doc) {
   CollectiveModel model(coll::parse_collective(doc.at("collective").as_string()));
   model.forest_ =
       std::make_shared<const ml::RandomForest>(ml::RandomForest::from_json(doc.at("forest")));
+  // A forest of another width would load but fail every prediction.
+  require(model.forest_->n_features() == num_features(model.collective_),
+          "model forest feature count does not match its collective's encoding");
   model.n_points_ = static_cast<std::size_t>(doc.at("training_points").as_int());
   return model;
 }

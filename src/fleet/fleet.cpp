@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
 #include <queue>
 #include <set>
 #include <sstream>
@@ -10,7 +9,7 @@
 
 #include "core/env.hpp"
 #include "core/heuristic.hpp"
-#include "platform/app_model.hpp"
+#include "platform/trace_replay.hpp"
 #include "serve/protocol.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -229,29 +228,18 @@ FleetResult replay_fleet(const FleetConfig& config, serve::ModelStore& store) {
           traces::generate_trace(arrival.app, arrival.nnodes, config.trace_calls, trace_rng);
       const core::LiveEnvironment env(pipeline.topology(), run.allocation, arrival.job_seed);
       const core::SelectionEngine engine = run.engine();
-      std::map<bench::BenchmarkPoint, double> price_cache;
-      const auto price = [&](const bench::BenchmarkPoint& point) {
-        const auto it = price_cache.find(point);
-        if (it != price_cache.end()) {
-          return it->second;
-        }
-        const double us = env.predicted_solo_us(core::ScheduledBenchmark{point, 0});
-        price_cache.emplace(point, us);
-        return us;
+      const platform::TimeSource time_us = [&](const bench::Scenario& s, coll::Algorithm a) {
+        return env.predicted_solo_us(core::ScheduledBenchmark{{s, a}, 0});
       };
-      double tuned_us = 0.0;
-      double default_us = 0.0;
-      for (const traces::CollectiveCall& call : trace) {
-        bench::Scenario s;
-        s.collective = call.collective;
-        s.nnodes = arrival.nnodes;
-        s.ppn = arrival.ppn;
-        s.msg_bytes = call.msg_bytes;
-        const coll::Algorithm def = core::mpich_default_selection(s);
-        const coll::Algorithm tuned = engine.covers(call.collective) ? engine.select(s) : def;
-        default_us += price({s, def});
-        tuned_us += price({s, tuned});
-      }
+      const core::Selector tuned = [&](const bench::Scenario& s) {
+        return engine.covers(s.collective) ? engine.select(s) : core::mpich_default_selection(s);
+      };
+      const double tuned_us =
+          platform::replay_trace(trace, arrival.nnodes, arrival.ppn, tuned, time_us).total_us;
+      const double default_us =
+          platform::replay_trace(trace, arrival.nnodes, arrival.ppn,
+                                 core::mpich_default_selection, time_us)
+              .total_us;
       if (default_us > 0.0) {
         const double ratio = tuned_us / default_us;
         outcome.speedup =

@@ -1,9 +1,25 @@
-// Random forest regressor (bootstrap-aggregated CART trees).
+// Random forest regressor (bootstrap-aggregated CART trees), held as one
+// structure-of-arrays arena.
+//
+// `DecisionTree` fits each tree as a node-struct vector, but every hop of a
+// node-struct walk loads a 32-byte Node to use at most half of it.
+// Prediction and per-tree jackknife variance dominate every acquisition
+// round (PAPER.md §IV; the fig10/fig12 hot paths), so a forest keeps no
+// trees: fit() and from_json() flatten them into one shared arena of
+// parallel arrays — split feature, threshold, left child, right child, leaf
+// value — and drop them. Every evaluation walks the arena.
+//
+// Equivalence contract: flattening copies node fields bit-for-bit and
+// preserves node order, traversal uses DecisionTree::predict's
+// `x[f] <= threshold` comparison (NaN routes right), and every mean and
+// variance accumulates in tree order. Results are therefore bitwise-equal to
+// walking the source trees with DecisionTree::predict — enforced by
+// tests/test_forest_arena.cpp.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
-#include "ml/flat_forest.hpp"
 #include "ml/tree.hpp"
 
 namespace acclaim::ml {
@@ -14,58 +30,30 @@ struct ForestParams {
   TreeParams tree;
 };
 
-/// Which inference engine RandomForest evaluation routes through. The two
-/// are bitwise-equivalent by construction; the pointer path exists so the
-/// differential test harness (test_flat_forest.cpp, test_determinism.cpp)
-/// can re-run whole tune jobs on the original engine and byte-compare every
-/// artifact against the SoA path.
-enum class ForestBackend {
-  Flat,     ///< SoA arena, batched tree-major kernels (the default)
-  Pointer,  ///< original node-struct traversal, scalar fallback for batches
-};
-
-/// Process-wide backend switch (default Flat). A testing/diagnostics hook:
-/// flip it from serial code only (tests, bench setup) — concurrent readers
-/// are safe, but mid-sweep flips would mix engines within one result.
-void set_forest_backend(ForestBackend backend);
-ForestBackend forest_backend() noexcept;
-
-/// Restores the previous backend on scope exit (test helper).
-class ForestBackendGuard {
- public:
-  explicit ForestBackendGuard(ForestBackend backend)
-      : previous_(forest_backend()) {
-    set_forest_backend(backend);
-  }
-  ~ForestBackendGuard() { set_forest_backend(previous_); }
-  ForestBackendGuard(const ForestBackendGuard&) = delete;
-  ForestBackendGuard& operator=(const ForestBackendGuard&) = delete;
-
- private:
-  ForestBackend previous_;
-};
-
 /// scikit-style RandomForestRegressor: each tree fits a bootstrap resample;
 /// the forest predicts the mean of the trees. predict_trees() exposes the
-/// per-tree predictions the jackknife variance (§IV-A) needs. After fit()
-/// or from_json() the trees are additionally flattened into a FlatForest
-/// arena; all evaluation entry points route through it (see ForestBackend).
+/// per-tree predictions the jackknife variance (§IV-A) needs.
 class RandomForest {
  public:
+  /// Fits params.n_trees trees, tree i on the i-th seed drawn from `seed`,
+  /// and flattens them with from_trees().
   void fit(const std::vector<FeatureRow>& X, const std::vector<double>& y,
            const ForestParams& params, std::uint64_t seed);
 
-  bool fitted() const noexcept { return !trees_.empty(); }
-  std::size_t n_trees() const noexcept { return trees_.size(); }
+  /// Flattens fitted trees into one forest. Node order inside each tree is
+  /// preserved (root first), so traversal visits the same nodes and yields
+  /// bit-identical leaf values. Throws InvalidArgument on an empty list,
+  /// unfitted trees, mismatched feature counts, or a node graph that is not
+  /// a tree.
+  static RandomForest from_trees(const std::vector<DecisionTree>& trees);
 
-  /// The fitted pointer trees (serialization source + differential
-  /// reference engine).
-  const std::vector<DecisionTree>& trees() const noexcept { return trees_; }
+  bool fitted() const noexcept { return !roots_.empty(); }
+  std::size_t n_trees() const noexcept { return roots_.size(); }
+  std::size_t n_features() const noexcept { return n_features_; }
+  /// Total nodes across all trees (the arena size).
+  std::size_t n_nodes() const noexcept { return feature_.size(); }
 
-  /// The flattened SoA arena shared by all hot-path evaluation.
-  const FlatForest& flat() const noexcept { return flat_; }
-
-  /// Mean of the per-tree predictions.
+  /// Mean of the per-tree predictions, accumulated in tree order.
   double predict(const FeatureRow& row) const;
 
   /// Per-tree predictions, in tree order.
@@ -75,24 +63,47 @@ class RandomForest {
   /// allocation-free in hot loops.
   void predict_trees(const FeatureRow& row, std::vector<double>& out) const;
 
-  /// Fused batched predict + jackknife over `n_rows` rows: `variances[r]`
+  /// Batched evaluation: walks `n_rows` rows across all trees tree-major,
+  /// so one tree's arrays stay cache-hot while a whole batch of rows runs
+  /// through them. `out` is row-major [n_rows x n_trees()]: out[r * n_trees
+  /// + t] is tree t's prediction for rows[r].
+  void predict_trees_batch(const FeatureRow* rows, std::size_t n_rows, double* out) const;
+
+  /// Fused batched predict + jackknife over `n_rows` rows: one tree-major
+  /// traversal pass fills a per-row prediction block, then `variances[r]`
   /// gets the jackknife variance of row r's per-tree predictions and
-  /// `means[r]` their tree-order mean — one traversal pass, no per-row
-  /// re-walk of the trees. Either output may be null to skip that
-  /// reduction. `scratch` is caller-owned working memory (one buffer per
-  /// thread in parallel sweeps). Bitwise-identical to predict_trees +
-  /// jackknife_variance per row, on either backend.
+  /// `means[r]` their tree-order mean — trees are never re-traversed, and
+  /// both reductions are bitwise-identical to predict_trees +
+  /// jackknife_variance / predict per row. Either output may be null to
+  /// skip that reduction. `scratch` is caller-owned working memory (grown to
+  /// n_rows * n_trees(), one buffer per thread in parallel sweeps).
   void jackknife_batch(const FeatureRow* rows, std::size_t n_rows, double* variances,
                        double* means, std::vector<double>& scratch) const;
 
-  /// Serializes the fitted forest. Requires fitted().
+  /// Serializes the fitted forest: one column-wise document per tree with
+  /// tree-relative child indices (-1 on leaves) and the tree's depth.
+  /// Requires fitted().
   util::Json to_json() const;
-  /// Rebuilds a forest from to_json() output.
+  /// Rebuilds a forest from to_json() output; each tree is parsed with
+  /// DecisionTree::from_json and flattened with from_trees().
   static RandomForest from_json(const util::Json& doc);
 
  private:
-  std::vector<DecisionTree> trees_;
-  FlatForest flat_;
+  // One arena for all trees; tree t's nodes occupy [roots_[t], roots_[t+1])
+  // (with an implicit end at n_nodes() for the last tree). Child indices are
+  // arena-absolute, so traversal never consults per-tree offsets. Leaves
+  // self-loop (left == right == own index): the batched kernel can then step
+  // a whole block of rows through a tree for a fixed number of levels with
+  // no per-lane branch — rows that reach their leaf early just spin in
+  // place, which changes no bit of the result.
+  std::vector<std::int32_t> feature_;  ///< split feature; negative marks a leaf
+  std::vector<double> threshold_;      ///< go left if x[feature] <= threshold
+  std::vector<std::int32_t> left_;
+  std::vector<std::int32_t> right_;
+  std::vector<double> value_;          ///< leaf prediction
+  std::vector<std::int32_t> roots_;    ///< arena index of each tree's root
+  std::vector<std::int32_t> depth_;    ///< max root-to-leaf edges per tree
+  std::size_t n_features_ = 0;
 };
 
 /// Jackknife variance of a set of values exactly as the paper defines it

@@ -145,32 +145,6 @@ std::int32_t DecisionTree::build(const std::vector<FeatureRow>& X, const std::ve
   return self;
 }
 
-util::Json DecisionTree::to_json() const {
-  require(fitted(), "cannot serialize an unfitted tree");
-  util::Json doc = util::Json::object();
-  doc["n_features"] = static_cast<double>(n_features_);
-  doc["depth"] = depth_;
-  // Column-wise arrays keep the document compact and fast to parse.
-  util::Json feature = util::Json::array();
-  util::Json threshold = util::Json::array();
-  util::Json left = util::Json::array();
-  util::Json right = util::Json::array();
-  util::Json value = util::Json::array();
-  for (const Node& node : nodes_) {
-    feature.push_back(node.feature);
-    threshold.push_back(node.threshold);
-    left.push_back(node.left);
-    right.push_back(node.right);
-    value.push_back(node.value);
-  }
-  doc["feature"] = std::move(feature);
-  doc["threshold"] = std::move(threshold);
-  doc["left"] = std::move(left);
-  doc["right"] = std::move(right);
-  doc["value"] = std::move(value);
-  return doc;
-}
-
 DecisionTree DecisionTree::from_json(const util::Json& doc) {
   DecisionTree tree;
   tree.n_features_ = static_cast<std::size_t>(doc.at("n_features").as_int());

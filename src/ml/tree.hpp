@@ -25,7 +25,8 @@ struct TreeParams {
 };
 
 /// A fitted regression tree. Fit once, then predict; refitting replaces the
-/// model.
+/// model. RandomForest fits these and flattens them into its arena;
+/// predict() is the scalar node walk the arena kernels are tested against.
 class DecisionTree {
  public:
   /// Fits on the rows indexed by `sample_idx` (with repetition allowed — the
@@ -55,13 +56,12 @@ class DecisionTree {
   };
 
   /// Read access to the fitted node array (root at index 0) — the source
-  /// FlatForest::build flattens into the structure-of-arrays arena.
+  /// RandomForest::from_trees flattens into the forest arena.
   const std::vector<Node>& nodes() const noexcept { return nodes_; }
 
-  /// Serializes the fitted tree (structure + leaf values). Requires fitted().
-  util::Json to_json() const;
-  /// Rebuilds a tree from to_json() output; throws InvalidArgument/ParseError
-  /// on malformed documents (bad child indices, missing fields).
+  /// Parses one tree of RandomForest::to_json()'s document; throws
+  /// InvalidArgument/ParseError on malformed documents (bad child indices,
+  /// missing fields).
   static DecisionTree from_json(const util::Json& doc);
 
  private:

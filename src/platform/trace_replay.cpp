@@ -21,10 +21,11 @@ ReplayResult replay_trace(const std::vector<traces::CollectiveCall>& trace, int 
       const double us = time_us(s, select(s));
       it = cell_us.emplace(key, us).first;
     }
-    result.total_s += it->second * 1e-6;
+    result.total_us += it->second;
     result.per_collective_s[call.collective] += it->second * 1e-6;
     ++result.calls;
   }
+  result.total_s = result.total_us * 1e-6;
   result.distinct_scenarios = cell_us.size();
   return result;
 }

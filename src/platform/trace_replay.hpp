@@ -18,7 +18,8 @@ namespace acclaim::platform {
 
 /// Replay accounting for one selector.
 struct ReplayResult {
-  double total_s = 0.0;                 ///< collective time across the trace
+  double total_us = 0.0;                ///< per-call times summed in trace order
+  double total_s = 0.0;                 ///< total_us in seconds
   std::size_t calls = 0;
   std::size_t distinct_scenarios = 0;   ///< unique (collective,msg) cells priced
   /// Time per collective, for attribution.

@@ -159,8 +159,7 @@ double percentile_from_buckets(const std::vector<BucketSlice>& buckets, std::uin
 /// counters as `acclaim_<name>_total`, gauges as `acclaim_<name>`, histograms
 /// as the cumulative `_bucket{le=...}` / `_sum` / `_count` series, each with a
 /// `# TYPE` line. Instrument names are sanitized ('.' and '-' become '_').
-/// This is the exposition the future acclaimd daemon will serve on /metrics;
-/// the CLI exposes it today via --prom-out for scrape-pipeline dry runs.
+/// The CLI's --prom-out flag writes this output to a file.
 std::string prometheus_text(const MetricsRegistry& registry);
 
 /// Copies the global thread pool's usage counters into the registry as

@@ -372,42 +372,10 @@ TEST(GoldenDeterminism, AuditLogBitwiseIdenticalAcrossThreads) {
   }
 }
 
-// Differential goldens: re-run the same whole-pipeline fingerprints on the
-// original pointer-chasing forest engine and byte-compare against the SoA
-// default. Passing proves the flat-forest switch changed no selection
-// decision, no trained model byte, and no audit-log byte.
-
-TEST(FlatForestGolden, FullTuneJobIdenticalOnBothEngines) {
-  ThreadGuard guard;
-  std::string flat_fp, ptr_fp;
-  {
-    ml::ForestBackendGuard backend(ml::ForestBackend::Flat);
-    flat_fp = tune_job_fingerprint(4);
-  }
-  {
-    ml::ForestBackendGuard backend(ml::ForestBackend::Pointer);
-    ptr_fp = tune_job_fingerprint(4);
-  }
-  EXPECT_GT(flat_fp.size(), 500u);
-  EXPECT_EQ(flat_fp, ptr_fp);
-}
-
-TEST(FlatForestGolden, AuditLogIdenticalOnBothEngines) {
-  ThreadGuard guard;
-  std::string flat_log, ptr_log;
-  {
-    ml::ForestBackendGuard backend(ml::ForestBackend::Flat);
-    flat_log = audited_tune_job_log(4);
-  }
-  {
-    ml::ForestBackendGuard backend(ml::ForestBackend::Pointer);
-    ptr_log = audited_tune_job_log(4);
-  }
-  EXPECT_GT(flat_log.size(), 1000u);
-  EXPECT_EQ(flat_log, ptr_log);
-}
-
-TEST(FlatForestGolden, VarianceSweepAndSelectionIdenticalOnBothEngines) {
+// The batched model paths (the blocked fused jackknife sweep and
+// select_batch) run on the thread pool; they must equal the scalar per-point
+// paths bit for bit.
+TEST(ForestGolden, VarianceSweepAndSelectionMatchScalarPaths) {
   ThreadGuard guard;
   util::set_global_threads(4);
   const std::vector<core::LabeledPoint> data = synthetic_bcast_points();
@@ -420,28 +388,16 @@ TEST(FlatForestGolden, VarianceSweepAndSelectionIdenticalOnBothEngines) {
   core::CollectiveModel model(coll::Collective::Bcast);
   model.fit(data, 4321);
 
-  std::vector<double> flat_var, ptr_var;
-  std::vector<coll::Algorithm> flat_sel, ptr_sel;
-  {
-    ml::ForestBackendGuard backend(ml::ForestBackend::Flat);
-    flat_var = model.jackknife_variances(pool);
-    flat_sel = model.select_batch(scenarios);
-  }
-  {
-    ml::ForestBackendGuard backend(ml::ForestBackend::Pointer);
-    ptr_var = model.jackknife_variances(pool);
-    ptr_sel = model.select_batch(scenarios);
-  }
-  ASSERT_EQ(flat_var.size(), pool.size());
+  const std::vector<double> var = model.jackknife_variances(pool);
+  const std::vector<coll::Algorithm> sel = model.select_batch(scenarios);
+  ASSERT_EQ(var.size(), pool.size());
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    ASSERT_EQ(flat_var[i], ptr_var[i]) << "candidate=" << i;
+    ASSERT_EQ(var[i], model.jackknife_variance(pool[i])) << "candidate=" << i;
   }
-  // select_batch is documented to return exactly select() per scenario, on
-  // either engine.
-  ASSERT_EQ(flat_sel.size(), scenarios.size());
-  EXPECT_EQ(flat_sel, ptr_sel);
+  // select_batch is documented to return exactly select() per scenario.
+  ASSERT_EQ(sel.size(), scenarios.size());
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    ASSERT_EQ(flat_sel[i], model.select(scenarios[i])) << "scenario=" << i;
+    ASSERT_EQ(sel[i], model.select(scenarios[i])) << "scenario=" << i;
   }
 }
 

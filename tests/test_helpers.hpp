@@ -1,11 +1,15 @@
-// Shared fixtures for the higher-layer tests: a small, fast precollected
-// dataset over the tiny test machine, built once per process.
+// Shared fixtures for the tests: a small, fast precollected dataset over the
+// tiny test machine, built once per process, and the tree-walk reference the
+// forest arena is checked against.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "benchdata/dataset.hpp"
 #include "core/feature_space.hpp"
+#include "ml/forest.hpp"
 #include "simnet/machine.hpp"
 
 namespace acclaim::testing_support {
@@ -45,6 +49,41 @@ inline const bench::Dataset& small_dataset() {
 
 inline core::FeatureSpace small_space() {
   return core::FeatureSpace::from_grid(small_p2_grid());
+}
+
+/// The trees RandomForest::fit(X, y, params, seed) fits — tree i on the i-th
+/// draw of Rng(seed), bootstrap-resampled from that tree's own stream — fit
+/// serially and kept as node-struct DecisionTrees.
+inline std::vector<ml::DecisionTree> fit_trees(const std::vector<ml::FeatureRow>& X,
+                                               const std::vector<double>& y,
+                                               const ml::ForestParams& params,
+                                               std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<ml::DecisionTree> trees(static_cast<std::size_t>(params.n_trees));
+  for (ml::DecisionTree& tree : trees) {
+    util::Rng tree_rng(rng.next_u64());
+    if (params.bootstrap) {
+      std::vector<std::size_t> sample(X.size());
+      for (std::size_t& i : sample) {
+        i = tree_rng.index(X.size());
+      }
+      tree.fit(X, y, sample, params.tree, tree_rng);
+    } else {
+      tree.fit(X, y, params.tree, tree_rng);
+    }
+  }
+  return trees;
+}
+
+/// Per-tree predictions in tree order, walking each tree with
+/// DecisionTree::predict: the scalar reference for every forest kernel.
+inline std::vector<double> walk_trees(const std::vector<ml::DecisionTree>& trees,
+                                      const ml::FeatureRow& row) {
+  std::vector<double> out;
+  for (const ml::DecisionTree& tree : trees) {
+    out.push_back(tree.predict(row));
+  }
+  return out;
 }
 
 }  // namespace acclaim::testing_support

@@ -268,7 +268,7 @@ TEST(LintParallel, ShippedFusedKernelSourcesCarryNoFloatReductionFindings) {
   // Suppression audit on the real files: the hot fused-jackknife sources
   // must stay free of par-float-reduction findings (no new accumulation,
   // and no acclaim-lint:allow creeping in to silence one).
-  for (const char* rel : {"src/core/model.cpp", "src/ml/flat_forest.cpp"}) {
+  for (const char* rel : {"src/core/model.cpp", "src/ml/forest.cpp"}) {
     std::ifstream in(std::string(ACCLAIM_SOURCE_DIR "/") + rel, std::ios::binary);
     ASSERT_TRUE(in.good()) << rel;
     std::ostringstream text;

@@ -137,14 +137,11 @@ TEST(RandomForest, PredictTreesShrinksAnOversizedOutput) {
   f.fit(s.X, s.y, p, 3);
   const FeatureRow probe{1.0, 0.5};
   // The out-parameter contract says "resized to n_trees": a too-large
-  // buffer must shrink, never keep stale tail predictions, on both engines.
-  for (const ml::ForestBackend backend : {ml::ForestBackend::Flat, ml::ForestBackend::Pointer}) {
-    ml::ForestBackendGuard guard(backend);
-    std::vector<double> out(64, -1.0);
-    f.predict_trees(probe, out);
-    ASSERT_EQ(out.size(), 6u);
-    EXPECT_EQ(out, f.predict_trees(probe));
-  }
+  // buffer must shrink, never keep stale tail predictions.
+  std::vector<double> out(64, -1.0);
+  f.predict_trees(probe, out);
+  ASSERT_EQ(out.size(), 6u);
+  EXPECT_EQ(out, f.predict_trees(probe));
 }
 
 TEST(RandomForest, DeterministicForSeed) {

@@ -391,10 +391,12 @@ TEST_F(ThreadStress, ForestFitDeterministicUnderRandomDataAndThreads) {
 
 TEST_F(ThreadStress, BatchedForestEvaluationMatchesScalarUnderRandomBatchesAndThreads) {
   // Property: for any forest, batch size, and thread count, the fused SoA
-  // batch kernel agrees bitwise with per-row scalar evaluation on the
-  // pointer engine. Exercises batch sizes straddling the lane width and
-  // thread counts (threads only affect callers like jackknife_variances;
-  // the kernel itself must be a pure function of the rows).
+  // batch kernel agrees bitwise with walking the trees row by row with
+  // DecisionTree::predict. The forest is fit on a random pool size, the
+  // reference trees serially with the same per-tree seeds. Exercises batch
+  // sizes straddling the lane width and thread counts (threads only affect
+  // callers like jackknife_variances; the kernel itself must be a pure
+  // function of the rows).
   util::Rng meta(0xF147);
   const int thread_choices[] = {1, 2, 4, 8};
   for (int trial = 0; trial < 10; ++trial) {
@@ -422,16 +424,12 @@ TEST_F(ThreadStress, BatchedForestEvaluationMatchesScalarUnderRandomBatchesAndTh
     }
 
     std::vector<double> var(n_rows), mean(n_rows), scratch;
-    {
-      ml::ForestBackendGuard guard(ml::ForestBackend::Flat);
-      forest.jackknife_batch(rows.data(), n_rows, var.data(), mean.data(), scratch);
-    }
-    ml::ForestBackendGuard guard(ml::ForestBackend::Pointer);
+    forest.jackknife_batch(rows.data(), n_rows, var.data(), mean.data(), scratch);
     std::vector<double> batched(n_rows * nt);
-    forest.flat().predict_trees_batch(rows.data(), n_rows, batched.data());
+    forest.predict_trees_batch(rows.data(), n_rows, batched.data());
+    const std::vector<ml::DecisionTree> trees = testing_support::fit_trees(X, y, params, seed);
     for (std::size_t r = 0; r < n_rows; ++r) {
-      std::vector<double> scalar;
-      forest.predict_trees(rows[r], scalar);
+      const std::vector<double> scalar = testing_support::walk_trees(trees, rows[r]);
       for (std::size_t t = 0; t < nt; ++t) {
         ASSERT_EQ(batched[r * nt + t], scalar[t])
             << "trial=" << trial << " row=" << r << " tree=" << t;

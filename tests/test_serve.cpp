@@ -501,6 +501,26 @@ TEST_F(DaemonTest, MalformedLinesBecomeErrorResponsesNotCrashes) {
   EXPECT_FALSE(daemon_.shutdown_requested());
 }
 
+TEST_F(DaemonTest, PublishOfAModelWiderThanItsCollectiveIsRejected) {
+  // Trees declaring three more features than bcast's encoding: the publish
+  // fails with one error line and queries keep answering from version 1.
+  util::Json doc = trained_model(coll::Collective::Bcast).to_json();
+  for (util::Json& tree : doc["forest"]["trees"].as_array()) {
+    tree["n_features"] = tree.at("n_features").as_number() + 3.0;
+  }
+  const std::string path = ::testing::TempDir() + "acclaimd_widened_model.json";
+  doc.dump_file(path);
+  const util::Json pub = respond(R"({"op":"publish","path":")" + path + R"("})");
+  std::remove(path.c_str());
+  EXPECT_FALSE(pub.at("ok").as_bool());
+  EXPECT_FALSE(pub.at("error").as_string().empty());
+
+  const util::Json r =
+      respond(R"({"op":"query","collective":"bcast","nodes":4,"ppn":8,"msg":4096})");
+  ASSERT_TRUE(r.at("ok").as_bool());
+  EXPECT_EQ(r.at("version").as_number(), 1.0);
+}
+
 TEST_F(DaemonTest, QueryForUnservedCollectiveIsAnErrorResponse) {
   const util::Json r =
       respond(R"({"op":"query","collective":"reduce","nodes":4,"ppn":8,"msg":4096})");

@@ -11,7 +11,9 @@
 # and no local edits under results/. CI runs it on every push and pull
 # request, and with --ablation on the daily schedule. On 4 cores the whole
 # check takes about 5 minutes with --ablation, build included.
-# results/fleet.csv (the 1000-job fleet_replay) is not rerun here.
+# results/fleet.csv (the 1000-job fleet_replay) is not rerun here; the
+# scheduled fleet-bench CI lane reruns it from the repository root and fails
+# if it differs from the committed file.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
