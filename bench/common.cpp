@@ -217,8 +217,8 @@ BenchEnv::~BenchEnv() {
     try {
       telemetry::metrics().dump_file(metrics_out_);
       std::cerr << "[telemetry] wrote metrics to " << metrics_out_ << "\n";
-      // acclaim-lint: allow(hyg-catch-log) destructor must not throw; the
-      // stderr note below is the handling (AC_LOG is not wired in bench).
+      // The destructor must not throw; the stderr note below is the
+      // handling (AC_LOG is not wired in bench).
     } catch (const Error& e) {
       std::cerr << "[telemetry] failed to write " << metrics_out_ << ": " << e.what() << "\n";
     }
@@ -244,8 +244,8 @@ BenchEnv::~BenchEnv() {
     const std::string path = json_out_dir_ + "/BENCH_" + figure_ + ".json";
     doc.dump_file(path);
     std::cerr << "[bench] wrote " << path << "\n";
-    // acclaim-lint: allow(hyg-catch-log) destructor must not throw; the
-    // stderr note below is the handling.
+    // The destructor must not throw; the stderr note below is the
+    // handling.
   } catch (const std::exception& e) {
     std::cerr << "[bench] failed to write BENCH json: " << e.what() << "\n";
   }

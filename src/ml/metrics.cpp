@@ -42,9 +42,9 @@ double r2(const std::vector<double>& truth, const std::vector<double>& pred) {
     ss_tot += (truth[i] - m) * (truth[i] - m);
   }
   // Exact zero is the degenerate constant-target case, not a tolerance
-  // question. acclaim-lint: allow(hyg-float-eq)
+  // question.
   if (ss_tot == 0.0) {
-    return ss_res == 0.0 ? 1.0 : 0.0;  // acclaim-lint: allow(hyg-float-eq)
+    return ss_res == 0.0 ? 1.0 : 0.0;
   }
   return 1.0 - ss_res / ss_tot;
 }

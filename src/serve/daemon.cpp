@@ -9,6 +9,7 @@
 #include <cstring>
 #include <istream>
 #include <ostream>
+#include <vector>
 
 #include "serve/protocol.hpp"
 #include "telemetry/metrics.hpp"
@@ -27,6 +28,52 @@ util::Json decision_fields(const Decision& d) {
   fields["version"] = d.version;
   return fields;
 }
+
+/// Cuts request lines out of a byte stream and answers them; both read
+/// loops go through it. Only new bytes are searched for '\n'. A line longer
+/// than kMaxLineBytes is answered once with an error naming the cap, and
+/// the rest of it is dropped through the next '\n' without being stored, so
+/// a client that never sends '\n' cannot grow the daemon's memory.
+class LineReader {
+ public:
+  explicit LineReader(Daemon& daemon) : daemon_(daemon) {}
+
+  /// Answers every request line that `data[0, n)` completes, in order,
+  /// until a shutdown request has been handled. Returns one response line
+  /// (without '\n') per request; empty lines get none.
+  std::vector<std::string> feed(const char* data, std::size_t n) {
+    std::vector<std::string> responses;
+    while (n > 0 && !daemon_.shutdown_requested()) {
+      const auto* nl = static_cast<const char*>(std::memchr(data, '\n', n));
+      const std::size_t len = nl == nullptr ? n : static_cast<std::size_t>(nl - data);
+      if (!dropping_ && line_.size() + len > kMaxLineBytes) {
+        responses.push_back(error_response("request line exceeds the " +
+                                           std::to_string(kMaxLineBytes) + "-byte cap"));
+        line_.clear();
+        dropping_ = true;
+      }
+      if (!dropping_) {
+        line_.append(data, len);
+      }
+      if (nl == nullptr) {
+        break;
+      }
+      if (!dropping_ && !line_.empty()) {
+        responses.push_back(daemon_.handle_line(line_));
+      }
+      line_.clear();
+      dropping_ = false;
+      data = nl + 1;
+      n -= len + 1;
+    }
+    return responses;
+  }
+
+ private:
+  Daemon& daemon_;
+  std::string line_;       ///< the current line so far, at most kMaxLineBytes
+  bool dropping_ = false;  ///< inside an over-long line, discarding up to '\n'
+};
 
 }  // namespace
 
@@ -91,15 +138,28 @@ std::string Daemon::handle_line(const std::string& line) {
 }
 
 std::uint64_t Daemon::serve_stream(std::istream& in, std::ostream& out) {
+  LineReader reader(*this);
   std::uint64_t handled = 0;
-  std::string line;
-  while (!shutdown_ && std::getline(in, line)) {
-    if (line.empty()) {
-      continue;
+  auto answer = [&](const std::vector<std::string>& responses) {
+    for (const std::string& response : responses) {
+      out << response << "\n" << std::flush;
+      ++handled;
     }
-    out << handle_line(line) << "\n" << std::flush;
-    ++handled;
+  };
+  char chunk[4096];
+  while (!shutdown_ && in) {
+    // getline returns at a '\n' (consumed, not stored) or a full chunk, so a
+    // request is answered as soon as its line is in.
+    in.getline(chunk, sizeof(chunk));
+    const auto n = static_cast<std::size_t>(in.gcount());
+    if (in.good()) {
+      chunk[n - 1] = '\n';  // hand the consumed '\n' to the reader
+    } else if (n + 1 == sizeof(chunk)) {
+      in.clear();  // the chunk filled up mid-line
+    }
+    answer(reader.feed(chunk, n));
   }
+  answer(reader.feed("\n", 1));  // a last line that ended without '\n'
   return handled;
 }
 
@@ -195,27 +255,18 @@ std::uint64_t Daemon::serve_unix_socket(const std::string& path) {
       throw IoError(std::string("accept failed: ") + std::strerror(errno));
     }
     // Serve this connection until the peer closes (or shutdown). Lines may
-    // arrive split across reads; buffer until '\n'.
-    std::string buffer;
+    // arrive split across reads; the reader holds the partial one.
+    LineReader reader(*this);
     char chunk[4096];
     while (!shutdown_) {
       const ssize_t n = ::recv(conn.get(), chunk, sizeof(chunk), 0);
       if (n <= 0) {
         break;
       }
-      buffer.append(chunk, static_cast<std::size_t>(n));
-      std::size_t pos = 0;
-      for (std::size_t nl = buffer.find('\n', pos); nl != std::string::npos;
-           nl = buffer.find('\n', pos)) {
-        const std::string line = buffer.substr(pos, nl - pos);
-        pos = nl + 1;
-        if (line.empty()) {
-          continue;
-        }
-        send_all(conn.get(), handle_line(line) + "\n");
+      for (const std::string& response : reader.feed(chunk, static_cast<std::size_t>(n))) {
+        send_all(conn.get(), response + "\n");
         ++handled;
       }
-      buffer.erase(0, pos);
     }
   }
   ::unlink(path.c_str());

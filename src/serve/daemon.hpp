@@ -25,13 +25,15 @@ class Daemon {
   std::string handle_line(const std::string& line);
 
   /// Serves `in` until EOF or a shutdown request; one response per line on
-  /// `out`, flushed per response. Returns the number of requests handled.
+  /// `out`, flushed per response. A line longer than kMaxLineBytes gets one
+  /// error response and is discarded. Returns the number of requests handled.
   std::uint64_t serve_stream(std::istream& in, std::ostream& out);
 
   /// Binds a unix domain socket at `path` (replacing a stale file), then
-  /// accepts connections one at a time, serving each until the peer closes.
-  /// Returns (and unlinks the socket) after a shutdown request. Throws
-  /// IoError on socket setup failures.
+  /// accepts connections one at a time, serving each until the peer closes,
+  /// with the same line cap as serve_stream. Returns (and unlinks the
+  /// socket) after a shutdown request. Throws IoError on socket setup
+  /// failures.
   std::uint64_t serve_unix_socket(const std::string& path);
 
   /// True once a shutdown request has been handled.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <mutex>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -71,28 +72,17 @@ std::uint64_t ModelStore::publish(const ModelKey& key, core::CollectiveModel mod
   auto snap = std::make_shared<const ModelSnapshot>(ModelSnapshot{
       key, next_version_.fetch_add(1, std::memory_order_relaxed), std::move(model),
       std::move(support)});
-  Shard& shard = shard_for(key);
-  Entry* entry = nullptr;
-  {
-    // Fast path: the key already exists — resolve it under the shared lock.
-    std::shared_lock lock(shard.mu);
-    if (const auto it = shard.entries.find(key); it != shard.entries.end()) {
-      entry = it->second.get();
-    }
-  }
-  if (entry == nullptr) {
-    std::unique_lock lock(shard.mu);
-    entry = shard.entries.try_emplace(key, std::make_unique<Entry>()).first->second.get();
-  }
-  // Install only if newer: two publishers racing on one key can reach this
-  // point out of version order, and the older snapshot must never end up
-  // visible after the newer one was stored.
   const std::uint64_t version = snap->version;
-  auto cur = entry->snap.load(std::memory_order_acquire);
-  while (cur == nullptr || cur->version < version) {
-    if (entry->snap.compare_exchange_weak(cur, snap, std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-      break;
+  Shard& shard = shard_for(key);
+  std::shared_ptr<const ModelSnapshot> replaced;  // released after the unlock
+  {
+    std::unique_lock lock(shard.mu);
+    std::shared_ptr<const ModelSnapshot>& cur = shard.snapshots[key];
+    // Install only if newer: two publishers racing on one key can get here
+    // out of version order, and the older snapshot must never end up
+    // visible after the newer one was stored.
+    if (cur == nullptr || cur->version < version) {
+      replaced = std::exchange(cur, std::move(snap));
     }
   }
   return version;
@@ -100,14 +90,9 @@ std::uint64_t ModelStore::publish(const ModelKey& key, core::CollectiveModel mod
 
 std::shared_ptr<const ModelSnapshot> ModelStore::lookup(const ModelKey& key) const {
   const Shard& shard = shard_for(key);
-  const Entry* entry = nullptr;
-  {
-    std::shared_lock lock(shard.mu);
-    if (const auto it = shard.entries.find(key); it != shard.entries.end()) {
-      entry = it->second.get();
-    }
-  }
-  return entry == nullptr ? nullptr : entry->snap.load(std::memory_order_acquire);
+  std::shared_lock lock(shard.mu);
+  const auto it = shard.snapshots.find(key);
+  return it == shard.snapshots.end() ? nullptr : it->second;
 }
 
 std::shared_ptr<const ModelSnapshot> ModelStore::resolve(const ModelKey& key) const {
@@ -146,7 +131,7 @@ std::size_t ModelStore::size() const {
   std::size_t n = 0;
   for (const Shard& shard : shards_) {
     std::shared_lock lock(shard.mu);
-    n += shard.entries.size();
+    n += shard.snapshots.size();
   }
   return n;
 }
@@ -155,7 +140,7 @@ std::vector<ModelKey> ModelStore::keys() const {
   std::vector<ModelKey> out;
   for (const Shard& shard : shards_) {
     std::shared_lock lock(shard.mu);
-    for (const auto& [key, entry] : shard.entries) {
+    for (const auto& [key, snap] : shard.snapshots) {
       out.push_back(key);
     }
   }

@@ -4,19 +4,15 @@
 // one immutable ModelSnapshot per (collective, comm size, topology signature)
 // key. Publication is copy-on-write: training code fits a private
 // CollectiveModel (whose fitted forest is itself immutable-once-built, see
-// core/model.hpp), wraps it in a snapshot, and an atomic shared_ptr swap
-// makes it visible. Queries in flight keep whatever snapshot they resolved —
-// they never observe a half-published model and never block a publisher.
+// core/model.hpp), wraps it in a snapshot, and swapping the key's
+// shared_ptr makes it visible. Queries in flight keep whatever snapshot they
+// resolved — they never observe a half-published model.
 //
-// Locking discipline:
-//  * the per-shard shared_mutex guards only the key -> entry map structure;
-//    writers take it exclusively only to insert a *new* key;
-//  * republishing an existing key is a lock-free compare-exchange on the
-//    entry's snapshot slot that only installs a higher version, so racing
-//    publishers cannot leave an older model visible;
-//  * readers take the shared side to resolve the entry, then an atomic load.
-//    Entries are never erased, so a resolved Entry pointer stays valid for
-//    the store's lifetime and hot paths may cache it (ServeCore does).
+// Locking discipline: each shard's shared_mutex guards its key -> snapshot
+// map. Readers copy a snapshot pointer under the shared side; publishers
+// install one under the exclusive side, and only when its version is
+// higher, so racing publishers cannot leave an older model visible. Keys
+// are never erased.
 #pragma once
 
 #include <atomic>
@@ -117,12 +113,9 @@ class ModelStore {
   int shards() const noexcept { return static_cast<int>(shards_.size()); }
 
  private:
-  struct Entry {
-    std::atomic<std::shared_ptr<const ModelSnapshot>> snap;
-  };
   struct Shard {
-    mutable std::shared_mutex mu;  ///< guards `entries` structure only
-    std::map<ModelKey, std::unique_ptr<Entry>> entries;
+    mutable std::shared_mutex mu;  ///< guards `snapshots`
+    std::map<ModelKey, std::shared_ptr<const ModelSnapshot>> snapshots;
   };
 
   Shard& shard_for(const ModelKey& key) const;

@@ -56,6 +56,11 @@ inline constexpr std::int64_t kMaxNodes = 1 << 22;
 inline constexpr std::int64_t kMaxPpn = 1 << 16;
 inline constexpr std::int64_t kMaxRanks = std::int64_t{1} << 28;
 inline constexpr std::size_t kMaxBatch = 1 << 16;
+/// Longest request line the daemon reads, in bytes. The largest legal
+/// compact batch (kMaxBatch queries of at most 90 bytes each plus a
+/// 256-char topology) is about 5.9 MB; a longer line is answered with an
+/// error and discarded instead of buffered.
+inline constexpr std::size_t kMaxLineBytes = std::size_t{8} << 20;
 
 /// nodes x ppn computed in 64-bit and checked against kMaxRanks; throws
 /// InvalidArgument when the product exceeds the cap. The one sanctioned way

@@ -162,13 +162,13 @@ void render_metrics_summary(const util::Json& metrics_doc, std::ostream& os) {
   {
     util::TablePrinter table({"instrument", "value"});
     for (const auto& [name, value] : metrics_doc.at("counters").as_object()) {
-      // Never-touched instruments report exactly 0. acclaim-lint: allow(hyg-float-eq)
+      // Never-touched instruments report exactly 0.
       if (value.as_number() != 0.0) {
         table.add_row({name, std::to_string(static_cast<std::uint64_t>(value.as_number()))});
       }
     }
     for (const auto& [name, value] : metrics_doc.at("gauges").as_object()) {
-      // Never-touched instruments report exactly 0. acclaim-lint: allow(hyg-float-eq)
+      // Never-touched instruments report exactly 0.
       if (value.as_number() != 0.0) {
         table.add_row({name, fmt(value.as_number())});
       }

@@ -466,7 +466,7 @@ class Parser {
         fail("invalid number '" + token + "'");
       }
       return Json(d);
-      // fail() throws ParseError. acclaim-lint: allow(hyg-catch-log)
+      // fail() throws ParseError.
     } catch (const std::logic_error&) {
       fail("invalid number '" + token + "'");
     }

@@ -128,7 +128,7 @@ double pearson(const std::vector<double>& a, const std::vector<double>& b) {
     db += (b[i] - mb) * (b[i] - mb);
   }
   // Exact zero variance means correlation is undefined; a tolerance would
-  // misclassify near-constant series. acclaim-lint: allow(hyg-float-eq)
+  // misclassify near-constant series.
   if (da == 0.0 || db == 0.0) {
     return 0.0;
   }

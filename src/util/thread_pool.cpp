@@ -139,7 +139,7 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
           (*st.body)(i);
         }
         // Stores the first exception; parallel_for rethrows it on the
-        // calling thread after the loop quiesces. acclaim-lint: allow(hyg-catch-log)
+        // calling thread after the loop quiesces.
       } catch (...) {
         std::lock_guard lock(st.emu);
         if (!st.eptr) {

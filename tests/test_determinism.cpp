@@ -56,7 +56,7 @@ void synthetic_data(std::vector<ml::FeatureRow>& X, std::vector<double>& y, std:
     const double b = rng.uniform() * 4.0;
     const double c = static_cast<double>(rng.uniform_int(0, 3));
     X.push_back({a, b, c});
-    // c is a categorical feature holding exact small integers. acclaim-lint: allow(hyg-float-eq)
+    // c is a categorical feature holding exact small integers.
     y.push_back(std::sin(a * 6.0) + 0.5 * b + (c == 2.0 ? 1.5 : 0.0) + 0.05 * rng.uniform());
   }
 }

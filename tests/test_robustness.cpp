@@ -48,11 +48,11 @@ TEST(JsonFuzz, MutatedDocumentsThrowOrParseButNeverCrash) {
       // throw a typed error.
       try {
         core::rules_from_json(doc);
-        // A typed rejection of fuzzed input is a pass. acclaim-lint: allow(hyg-catch-log)
+        // A typed rejection of fuzzed input is a pass.
       } catch (const Error&) {
       }
       ++parsed;
-      // Counted and asserted on below. acclaim-lint: allow(hyg-catch-log)
+      // Counted and asserted on below.
     } catch (const Error&) {
       ++rejected;
     }

@@ -1,16 +1,38 @@
 #include "lint/checks.hpp"
 
 #include <algorithm>
+#include <initializer_list>
+#include <map>
 #include <utility>
 
 namespace acclaim::lint {
 
 namespace {
 
-bool has_prefix(const std::string& path, const std::vector<std::string>& prefixes) {
-  return std::any_of(prefixes.begin(), prefixes.end(), [&](const std::string& p) {
-    return path.rfind(p, 0) == 0;
-  });
+bool has_prefix(const std::string& path, std::initializer_list<const char*> prefixes) {
+  return std::any_of(prefixes.begin(), prefixes.end(),
+                     [&](const char* p) { return path.rfind(p, 0) == 0; });
+}
+
+/// The layers the golden determinism tests fingerprint: no wall-clock reads
+/// and no randomness outside util::Rng.
+bool in_det_layer(const std::string& path) {
+  return has_prefix(path,
+                    {"src/core/", "src/ml/", "src/simnet/", "src/benchdata/", "src/collectives/"});
+}
+
+/// Library and CLI code feeds ordered output (rule files, tables,
+/// accumulators), so unordered iteration is an error there; test fixtures
+/// may iterate scratch maps freely.
+bool in_ordered_iter_layer(const std::string& path) { return has_prefix(path, {"src/", "tools/"}); }
+
+/// Layers whose values cross a trust boundary (NDJSON, CLI argv, env, CSV):
+/// values produced by raw parses (stoi/atoi/strtol/parse_bytes/...) must
+/// pass through a checked_*/range-validated function before arithmetic,
+/// narrowing casts, or allocation sizes. Test sources are out of scope.
+bool in_taint_layer(const std::string& path) {
+  return has_prefix(path, {"src/serve/", "src/fleet/", "src/traces/", "src/benchdata/", "tools/",
+                           "bench/"});
 }
 
 bool is_test_path(const std::string& path) { return path.rfind("tests/", 0) == 0; }
@@ -54,17 +76,6 @@ const std::set<std::string>& wallclock_calls() {
 bool is_unordered_name(const std::string& s) {
   return s == "unordered_map" || s == "unordered_set" || s == "unordered_multimap" ||
          s == "unordered_multiset";
-}
-
-bool is_float_literal(const Tok& t) {
-  if (t.kind != Tok::Kind::Num) {
-    return false;
-  }
-  if (t.text.size() > 1 && t.text[0] == '0' && (t.text[1] == 'x' || t.text[1] == 'X')) {
-    return false;
-  }
-  return t.text.find('.') != std::string::npos || t.text.find('e') != std::string::npos ||
-         t.text.find('E') != std::string::npos;
 }
 
 // ---------------------------------------------------------------------------
@@ -237,8 +248,7 @@ bool is_operand_start(const Tok& t) {
 }
 
 /// Suppression lookup: an allow comment covers its own line and the line
-/// below it; statement-extent coverage (extended_allows) matches the exact
-/// finding line only, so it cannot bleed onto the next statement.
+/// below it.
 bool line_suppressed(const LexedFile& lex, const std::string& check, std::size_t line) {
   for (std::size_t l : {line, line > 0 ? line - 1 : line}) {
     auto it = lex.allows.find(l);
@@ -246,9 +256,7 @@ bool line_suppressed(const LexedFile& lex, const std::string& check, std::size_t
       return true;
     }
   }
-  auto it = lex.extended_allows.find(line);
-  return it != lex.extended_allows.end() &&
-         (it->second.count(check) || it->second.count("all"));
+  return false;
 }
 
 /// CamelCase -> snake_case ("TrainingIteration" -> "training_iteration").
@@ -273,26 +281,20 @@ std::string snake_case(const std::string& s) {
 
 struct Analyzer {
   const FileIndex& file;
-  const LintOptions& opt;
   const DeclMap& decls;
   const std::set<std::string>& tainted_fields;
   const std::vector<Tok>& toks;
   std::vector<Finding> findings;
 
-  Analyzer(const FileIndex& f, const LintOptions& o, const DeclMap& d,
-           const std::set<std::string>& tf)
-      : file(f), opt(o), decls(d), tainted_fields(tf), toks(f.lex.toks) {}
-
-  bool suppressed(const std::string& check, std::size_t line) const {
-    return line_suppressed(file.lex, check, line);
-  }
+  Analyzer(const FileIndex& f, const DeclMap& d, const std::set<std::string>& tf)
+      : file(f), decls(d), tainted_fields(tf), toks(f.lex.toks) {}
 
   void report(const std::string& check, std::size_t line, const std::string& message,
               const std::string& hint = "") {
-    if (suppressed(check, line)) {
+    if (line_suppressed(file.lex, check, line)) {
       return;
     }
-    findings.push_back({check, check_severity(check), file.path, line, message, hint});
+    findings.push_back({check, file.path, line, message, hint});
   }
 
   const Tok* prev_tok(std::size_t i) const { return i > 0 ? &toks[i - 1] : nullptr; }
@@ -313,7 +315,7 @@ struct Analyzer {
 
   // --- det-rand / det-wallclock ------------------------------------------
   void check_det_layer_tokens() {
-    if (!has_prefix(file.path, opt.det_layers)) {
+    if (!in_det_layer(file.path)) {
       return;
     }
     for (std::size_t i = 0; i < toks.size(); ++i) {
@@ -335,7 +337,7 @@ struct Analyzer {
 
   // --- det-unordered-iter -------------------------------------------------
   void check_unordered_iteration() {
-    if (!has_prefix(file.path, opt.ordered_iter_layers)) {
+    if (!in_ordered_iter_layer(file.path)) {
       return;
     }
     for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
@@ -526,168 +528,9 @@ struct Analyzer {
     }
   }
 
-  // --- hygiene ------------------------------------------------------------
-  void check_catch_blocks() {
-    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-      if (!is_id(toks[i], "catch") || !is_p(toks[i + 1], "(")) {
-        continue;
-      }
-      std::size_t k = match_paren(toks, i + 1) + 1;
-      if (k >= toks.size() || !is_p(toks[k], "{")) {
-        continue;
-      }
-      const std::size_t close = match_brace(toks, k);
-      bool handled = false;
-      for (std::size_t j = k + 1; j < close; ++j) {
-        if (toks[j].kind != Tok::Kind::Ident) {
-          continue;
-        }
-        const std::string& t = toks[j].text;
-        // gtest assertions count as handling: a test catch that asserts on
-        // the exception is observing it, not swallowing it.
-        if (t.rfind("AC_LOG_", 0) == 0 || t.rfind("EXPECT_", 0) == 0 ||
-            t.rfind("ASSERT_", 0) == 0 || t == "FAIL" || t == "SUCCEED" ||
-            t == "ADD_FAILURE" || t == "throw" || t == "return" ||
-            t == "rethrow_exception" || t == "terminate" || t == "abort") {
-          handled = true;
-          break;
-        }
-      }
-      if (!handled) {
-        report("hyg-catch-log", toks[i].line,
-               "catch block swallows the exception (no AC_LOG_*, throw, or return)");
-      }
-    }
-  }
-
-  void check_naked_new() {
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-      if (is_id(toks[i], "new") && !prev_is_member_or_scope(i)) {
-        report("hyg-naked-new", toks[i].line, "naked new expression");
-      }
-    }
-  }
-
-  void check_float_eq() {
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-      if (toks[i].kind != Tok::Kind::Punct ||
-          (toks[i].text != "==" && toks[i].text != "!=")) {
-        continue;
-      }
-      const Tok* p = prev_tok(i);
-      const Tok* nx = next_tok(i);
-      if ((p != nullptr && is_float_literal(*p)) || (nx != nullptr && is_float_literal(*nx))) {
-        report("hyg-float-eq", toks[i].line,
-               "'" + toks[i].text + "' compares against a floating-point literal");
-      }
-    }
-  }
-
-  // --- conc-snapshot-escape ----------------------------------------------
-  // A pointer or reference declared from the interior of a snapshot-shaped
-  // call (store.load()->x, lookup(...).field) outlives the temporary that
-  // owns the storage. By-value copies and lifetime-extended references that
-  // bind the whole return value stay silent.
-  void check_snapshot_escape() {
-    static const std::set<std::string> kSnapshotCalls = {
-        "load", "lookup", "resolve", "resolve_or_throw", "nearest", "snapshot"};
-    for (std::size_t i = 0; i + 3 < toks.size(); ++i) {
-      if (toks[i].kind != Tok::Kind::Ident ||
-          !(is_p(toks[i + 1], "&") || is_p(toks[i + 1], "*")) ||
-          toks[i + 2].kind != Tok::Kind::Ident || !is_p(toks[i + 3], "=")) {
-        continue;
-      }
-      // Only local declarations: the "type & name =" shape also matches
-      // `a & b =` bitwise-and assignments, which don't occur statement-first.
-      const std::size_t sb = stmt_begin(toks, i);
-      if (sb != i && !(sb + 1 == i && is_id(toks[sb], "const"))) {
-        continue;
-      }
-      const std::string& name = toks[i + 2].text;
-      std::size_t stmt_end = i + 4;
-      while (stmt_end < toks.size() && !is_p(toks[stmt_end], ";")) {
-        ++stmt_end;
-      }
-      const bool deref = i + 4 < toks.size() && is_p(toks[i + 4], "*");
-      for (std::size_t j = i + 4; j < stmt_end; ++j) {
-        if (toks[j].kind != Tok::Kind::Ident || !kSnapshotCalls.count(toks[j].text) ||
-            !prev_is_member(j) || j + 1 >= stmt_end || !is_p(toks[j + 1], "(")) {
-          continue;
-        }
-        const std::size_t close = match_paren(toks, j + 1);
-        const bool into_member = close + 1 < stmt_end &&
-                                 (is_p(toks[close + 1], ".") || is_p(toks[close + 1], "->"));
-        if (into_member || deref) {
-          report("conc-snapshot-escape", toks[i + 2].line,
-                 "'" + name + "' aliases the interior of a '" + toks[j].text +
-                     "' result; the temporary dies at the end of this statement",
-                 "copy the value out, or keep the owning handle alive in a local");
-          break;
-        }
-      }
-    }
-  }
-
-  // --- conc-unjoined-thread ----------------------------------------------
-  void check_unjoined_threads() {
-    for (const Scope& s : file.scopes) {
-      if (s.kind != Scope::Kind::Function && s.kind != Scope::Kind::Lambda) {
-        continue;
-      }
-      for (std::size_t i = s.open + 1; i + 2 < s.close; ++i) {
-        if (!is_id(toks[i], "thread") || prev_is_member(i) ||
-            toks[i + 1].kind != Tok::Kind::Ident) {
-          continue;
-        }
-        // Only declarations inside this function's own body (not a nested
-        // lambda's — the inner scope owns those).
-        if (enclosing_function(file.scopes, innermost_scope(file.scopes, i)) !=
-            static_cast<int>(&s - file.scopes.data())) {
-          continue;
-        }
-        const Tok& after = toks[i + 2];
-        if (after.kind != Tok::Kind::Punct ||
-            (after.text != "(" && after.text != "{" && after.text != ";" &&
-             after.text != "=")) {
-          continue;
-        }
-        const std::string& name = toks[i + 1].text;
-        bool handled = false;
-        for (std::size_t j = i + 3; j + 1 < s.close; ++j) {
-          if (!is_id(toks[j], name.c_str())) {
-            // `std::move(name)` / `return name` hand ownership elsewhere.
-            continue;
-          }
-          const Tok& nx = toks[j + 1];
-          const bool member = nx.kind == Tok::Kind::Punct && (nx.text == "." || nx.text == "->");
-          if (member && j + 2 < s.close && toks[j + 2].kind == Tok::Kind::Ident &&
-              (toks[j + 2].text == "join" || toks[j + 2].text == "detach" ||
-               toks[j + 2].text == "swap")) {
-            handled = true;
-            break;
-          }
-          if (j >= 2 && is_id(toks[j - 2], "move") && is_p(toks[j - 1], "(")) {
-            handled = true;
-            break;
-          }
-          if (j >= 1 && is_id(toks[j - 1], "return")) {
-            handled = true;
-            break;
-          }
-        }
-        if (!handled) {
-          report("conc-unjoined-thread", toks[i + 1].line,
-                 "std::thread '" + name + "' is neither joined, detached, nor moved "
-                 "before scope exit (its destructor calls std::terminate)",
-                 "join it on every path, or use std::jthread");
-        }
-      }
-    }
-  }
-
   // --- taint-lite ----------------------------------------------------------
   void check_taint() {
-    if (!has_prefix(file.path, opt.taint_layers) || is_test_path(file.path)) {
+    if (!in_taint_layer(file.path)) {
       return;
     }
     // fn_of[i]: innermost Function/Lambda scope owning token i. Children
@@ -864,24 +707,15 @@ struct Analyzer {
     check_det_layer_tokens();
     check_unordered_iteration();
     check_parallel_regions();
-    check_catch_blocks();
-    check_naked_new();
-    check_float_eq();
-    check_snapshot_escape();
-    check_unjoined_threads();
     check_taint();
-    std::sort(findings.begin(), findings.end(), [](const Finding& a, const Finding& b) {
-      return std::tie(a.line, a.check, a.message) < std::tie(b.line, b.check, b.message);
-    });
   }
 };
 
 }  // namespace
 
-std::vector<Finding> run_file_checks(const FileIndex& file, const LintOptions& opt,
-                                     const DeclMap& decls,
+std::vector<Finding> run_file_checks(const FileIndex& file, const DeclMap& decls,
                                      const std::set<std::string>& tainted_fields) {
-  Analyzer az(file, opt, decls, tainted_fields);
+  Analyzer az(file, decls, tainted_fields);
   az.run();
   return az.findings;
 }
@@ -927,13 +761,12 @@ bool range_carries_taint(const std::vector<Tok>& toks, std::size_t begin, std::s
 
 }  // namespace
 
-std::set<std::string> collect_tainted_fields(const std::vector<const FileIndex*>& files,
-                                             const LintOptions& opt) {
+std::set<std::string> collect_tainted_fields(const std::vector<const FileIndex*>& files) {
   std::set<std::string> fields;
   for (int round = 0; round < 8; ++round) {
     bool grew = false;
     for (const FileIndex* f : files) {
-      if (!has_prefix(f->path, opt.taint_layers) || is_test_path(f->path)) {
+      if (!in_taint_layer(f->path)) {
         continue;
       }
       const std::vector<Tok>& toks = f->lex.toks;
@@ -979,151 +812,10 @@ std::set<std::string> collect_tainted_fields(const std::vector<const FileIndex*>
 }
 
 // ---------------------------------------------------------------------------
-// Project-wide passes: lock order, registry drift, dead config fields
+// Project-wide pass: telemetry registry drift
 // ---------------------------------------------------------------------------
 
 namespace {
-
-bool project_suppressed(const FileIndex& f, const std::string& check, std::size_t line) {
-  return line_suppressed(f.lex, check, line);
-}
-
-struct LockSite {
-  std::string file;
-  std::size_t line = 0;
-  std::string held;      ///< canonical mutex already held
-  std::string acquired;  ///< canonical mutex being acquired here
-  const FileIndex* idx = nullptr;
-};
-
-/// Canonical name for the mutex expression whose last chain token is at
-/// `last`: idents joined with '.', `this->` dropped, a single bare member
-/// qualified with the innermost Class name so `a.mu_` in two classes don't
-/// collide.
-std::string canon_mutex(const FileIndex& f, std::size_t last) {
-  const std::vector<Tok>& toks = f.lex.toks;
-  std::size_t b = chain_begin(toks, last);
-  std::vector<std::string> parts;
-  for (std::size_t i = b; i <= last; ++i) {
-    if (toks[i].kind == Tok::Kind::Ident && toks[i].text != "this") {
-      parts.push_back(toks[i].text);
-    }
-  }
-  std::string out;
-  for (const std::string& p : parts) {
-    if (!out.empty()) {
-      out += ".";
-    }
-    out += p;
-  }
-  if (parts.size() == 1) {
-    int s = innermost_scope(f.scopes, last);
-    while (s >= 0) {
-      const Scope& sc = f.scopes[static_cast<std::size_t>(s)];
-      if (sc.kind == Scope::Kind::Class && !sc.name.empty()) {
-        out = sc.name + "::" + out;
-        break;
-      }
-      s = sc.parent;
-    }
-  }
-  return out;
-}
-
-/// One acquisition in a function: canonical mutex + token hold range.
-struct Acquisition {
-  std::string mutex;
-  std::size_t at = 0;     ///< token index of the acquisition
-  std::size_t until = 0;  ///< token index where the hold ends
-};
-
-void collect_lock_edges(const FileIndex& f, std::vector<LockSite>& edges) {
-  static const std::set<std::string> kGuards = {"lock_guard", "unique_lock", "shared_lock"};
-  const std::vector<Tok>& toks = f.lex.toks;
-  for (const Scope& s : f.scopes) {
-    if (s.kind != Scope::Kind::Function && s.kind != Scope::Kind::Lambda) {
-      continue;
-    }
-    // Skip functions that are nested inside another collected function?
-    // No: a lambda's acquisitions belong to the lambda; collect per scope
-    // but only tokens directly owned by it would over-complicate — guards
-    // in a nested lambda still nest lexically, which is what matters for
-    // ordering, so collect over the whole extent only for top Functions.
-    if (enclosing_function(f.scopes, s.parent) >= 0) {
-      continue;  // nested lambda: the enclosing function's pass covers it
-    }
-    std::vector<Acquisition> acqs;
-    for (std::size_t i = s.open + 1; i + 1 < s.close; ++i) {
-      if (toks[i].kind != Tok::Kind::Ident) {
-        continue;
-      }
-      const std::string& t = toks[i].text;
-      if (kGuards.count(t) && is_p(toks[i + 1], "<")) {
-        // `std::lock_guard<std::mutex> g(mu_);`
-        std::size_t j = skip_template_args(toks, i + 1);
-        if (j >= s.close || toks[j].kind != Tok::Kind::Ident) {
-          continue;
-        }
-        ++j;  // guard variable name
-        if (j >= s.close || !is_p(toks[j], "(")) {
-          continue;
-        }
-        const std::size_t close = match_paren(toks, j);
-        // defer_lock / try_to_lock guards don't acquire here. The tag is a
-        // trailing argument, so scan the whole list for it but take the
-        // mutex expression from the first argument only.
-        bool deferred = false;
-        bool past_first = false;
-        std::size_t last_chain = 0;
-        int depth = 0;
-        for (std::size_t k = j + 1; k < close; ++k) {
-          if (is_p(toks[k], "(")) {
-            ++depth;
-          } else if (is_p(toks[k], ")")) {
-            --depth;
-          } else if (depth == 0 && toks[k].kind == Tok::Kind::Ident) {
-            if (toks[k].text == "defer_lock" || toks[k].text == "try_to_lock" ||
-                toks[k].text == "adopt_lock") {
-              deferred = true;
-            } else if (!past_first && toks[k].text != "this" && toks[k].text != "std") {
-              last_chain = k;
-            }
-          } else if (depth == 0 && is_p(toks[k], ",")) {
-            past_first = true;
-          }
-        }
-        if (deferred || last_chain == 0) {
-          continue;
-        }
-        const std::size_t hold_end =
-            f.scopes[static_cast<std::size_t>(innermost_scope(f.scopes, i))].close;
-        acqs.push_back({canon_mutex(f, last_chain), i, hold_end});
-        continue;
-      }
-      // `mu.lock()` ... `mu.unlock()` manual pairs.
-      if (t == "lock" && i > 0 && toks[i - 1].kind == Tok::Kind::Punct &&
-          (toks[i - 1].text == "." || toks[i - 1].text == "->") && is_p(toks[i + 1], "(") &&
-          i >= 2 && toks[i - 2].kind == Tok::Kind::Ident) {
-        const std::string m = canon_mutex(f, i - 2);
-        std::size_t until = s.close;
-        for (std::size_t k = i + 2; k < s.close; ++k) {
-          if (is_id(toks[k], "unlock") && k >= 2 && canon_mutex(f, k - 2) == m) {
-            until = k;
-            break;
-          }
-        }
-        acqs.push_back({m, i, until});
-      }
-    }
-    for (const Acquisition& outer : acqs) {
-      for (const Acquisition& inner : acqs) {
-        if (inner.at > outer.at && inner.at < outer.until && inner.mutex != outer.mutex) {
-          edges.push_back({f.path, toks[inner.at].line, outer.mutex, inner.mutex, &f});
-        }
-      }
-    }
-  }
-}
 
 std::string metric_key(const std::string& kind, const std::string& name) {
   return kind + ":" + name;
@@ -1132,237 +824,94 @@ std::string metric_key(const std::string& kind, const std::string& name) {
 }  // namespace
 
 std::vector<Finding> run_project_checks(const std::vector<const FileIndex*>& files,
-                                        const LintOptions& opt) {
+                                        const util::Json& registry) {
   std::vector<Finding> out;
+  if (!registry.is_object()) {
+    return out;
+  }
   auto emit = [&](const FileIndex* f, const std::string& check, const std::string& file,
                   std::size_t line, const std::string& msg, const std::string& hint) {
-    if (f != nullptr && project_suppressed(*f, check, line)) {
+    if (f != nullptr && line_suppressed(f->lex, check, line)) {
       return;
     }
-    out.push_back({check, check_severity(check), file, line, msg, hint});
+    out.push_back({check, file, line, msg, hint});
   };
 
-  // --- conc-lock-order ----------------------------------------------------
-  std::vector<LockSite> edges;
+  std::map<std::string, std::pair<const FileIndex*, std::size_t>> used_metrics;
+  std::map<std::string, std::pair<const FileIndex*, std::size_t>> used_events;
+  static const std::set<std::string> kMetricCalls = {"counter", "gauge", "histogram"};
   for (const FileIndex* f : files) {
     if (is_test_path(f->path)) {
       continue;
     }
-    collect_lock_edges(*f, edges);
-  }
-  std::map<std::pair<std::string, std::string>, std::vector<const LockSite*>> by_pair;
-  for (const LockSite& e : edges) {
-    by_pair[{e.held, e.acquired}].push_back(&e);
-  }
-  std::set<std::pair<std::string, std::string>> reported_pairs;
-  for (const auto& [pair, sites] : by_pair) {
-    const auto rev = by_pair.find({pair.second, pair.first});
-    if (rev == by_pair.end()) {
-      continue;
-    }
-    // Report each unordered pair once, at the first site of each direction.
-    const auto key = std::minmax(pair.first, pair.second);
-    if (!reported_pairs.insert({key.first, key.second}).second) {
-      continue;
-    }
-    auto first_site = [](const std::vector<const LockSite*>& v) {
-      const LockSite* best = v.front();
-      for (const LockSite* s : v) {
-        if (std::tie(s->file, s->line) < std::tie(best->file, best->line)) {
-          best = s;
-        }
-      }
-      return best;
-    };
-    const LockSite* a = first_site(sites);
-    const LockSite* b = first_site(rev->second);
-    emit(a->idx, "conc-lock-order", a->file, a->line,
-         "'" + a->acquired + "' is acquired while holding '" + a->held + "', but " +
-             b->file + ":" + std::to_string(b->line) + " acquires them in the opposite order",
-         "pick one global acquisition order, or take both with std::scoped_lock");
-    emit(b->idx, "conc-lock-order", b->file, b->line,
-         "'" + b->acquired + "' is acquired while holding '" + b->held + "', but " +
-             a->file + ":" + std::to_string(a->line) + " acquires them in the opposite order",
-         "pick one global acquisition order, or take both with std::scoped_lock");
-  }
-
-  // --- drift: telemetry registry ------------------------------------------
-  if (opt.telemetry_registry.is_object()) {
-    std::map<std::string, std::pair<const FileIndex*, std::size_t>> used_metrics;
-    std::map<std::string, std::pair<const FileIndex*, std::size_t>> used_events;
-    static const std::set<std::string> kMetricCalls = {"counter", "gauge", "histogram"};
-    for (const FileIndex* f : files) {
-      if (is_test_path(f->path)) {
-        continue;
-      }
-      const bool trace_def = f->path.find("telemetry/trace.") != std::string::npos;
-      const std::vector<Tok>& toks = f->lex.toks;
-      for (std::size_t i = 1; i + 2 < toks.size(); ++i) {
-        if (toks[i].kind != Tok::Kind::Ident) {
-          continue;
-        }
-        if (kMetricCalls.count(toks[i].text) &&
-            (is_p(toks[i - 1], ".") || is_p(toks[i - 1], "->")) && is_p(toks[i + 1], "(") &&
-            toks[i + 2].kind == Tok::Kind::Str) {
-          const std::string key = metric_key(toks[i].text, toks[i + 2].text);
-          if (!used_metrics.count(key)) {
-            used_metrics.emplace(key, std::make_pair(f, toks[i + 2].line));
-          }
-        }
-        if (!trace_def && toks[i].text == "EventKind" && is_p(toks[i + 1], "::") &&
-            toks[i + 2].kind == Tok::Kind::Ident) {
-          const std::string ev = snake_case(toks[i + 2].text);
-          if (!used_events.count(ev)) {
-            used_events.emplace(ev, std::make_pair(f, toks[i + 2].line));
-          }
-        }
-      }
-    }
-    std::set<std::string> registered_metrics;
-    if (opt.telemetry_registry.contains("metrics")) {
-      for (const util::Json& m : opt.telemetry_registry.at("metrics").as_array()) {
-        registered_metrics.insert(
-            metric_key(m.at("kind").as_string(), m.at("name").as_string()));
-      }
-    }
-    std::set<std::string> registered_events;
-    if (opt.telemetry_registry.contains("trace_events")) {
-      for (const util::Json& e : opt.telemetry_registry.at("trace_events").as_array()) {
-        registered_events.insert(e.as_string());
-      }
-    }
-    for (const auto& [key, site] : used_metrics) {
-      if (!registered_metrics.count(key)) {
-        const std::size_t colon = key.find(':');
-        emit(site.first, "drift-metric-name", site.first->path, site.second,
-             key.substr(0, colon) + " '" + key.substr(colon + 1) +
-                 "' is emitted here but missing from the telemetry registry",
-             "add it to " + opt.registry_path + " (or fix the name)");
-      }
-    }
-    for (const std::string& key : registered_metrics) {
-      if (!used_metrics.count(key)) {
-        const std::size_t colon = key.find(':');
-        emit(nullptr, "drift-metric-name", opt.registry_path, 1,
-             key.substr(0, colon) + " '" + key.substr(colon + 1) +
-                 "' is registered but never emitted anywhere",
-             "remove the stale entry from " + opt.registry_path);
-      }
-    }
-    for (const auto& [ev, site] : used_events) {
-      if (!registered_events.count(ev)) {
-        emit(site.first, "drift-trace-event", site.first->path, site.second,
-             "trace event '" + ev + "' is used here but missing from the telemetry registry",
-             "add it to " + opt.registry_path + " (or fix the enumerator)");
-      }
-    }
-    for (const std::string& ev : registered_events) {
-      if (!used_events.count(ev)) {
-        emit(nullptr, "drift-trace-event", opt.registry_path, 1,
-             "trace event '" + ev + "' is registered but never used anywhere",
-             "remove the stale entry from " + opt.registry_path);
-      }
-    }
-  }
-
-  // --- drift-dead-config --------------------------------------------------
-  // Fields of *Config / *Spec structs declared in src headers that no token
-  // anywhere else in the project ever names again.
-  std::map<std::string, std::size_t> ident_count;
-  for (const FileIndex* f : files) {
-    for (const Tok& t : f->lex.toks) {
-      if (t.kind == Tok::Kind::Ident) {
-        ++ident_count[t.text];
-      }
-    }
-  }
-  static const std::set<std::string> kNotAField = {"const", "constexpr", "static", "mutable",
-                                                   "using",  "typedef",  "inline", "operator",
-                                                   "public", "private",  "protected"};
-  for (const FileIndex* f : files) {
-    if (f->path.rfind("src/", 0) != 0 ||
-        (f->path.size() < 4 || f->path.compare(f->path.size() - 4, 4, ".hpp") != 0)) {
-      continue;
-    }
+    const bool trace_def = f->path.find("telemetry/trace.") != std::string::npos;
     const std::vector<Tok>& toks = f->lex.toks;
-    for (const Scope& s : f->scopes) {
-      if (s.kind != Scope::Kind::Class) {
+    for (std::size_t i = 1; i + 2 < toks.size(); ++i) {
+      if (toks[i].kind != Tok::Kind::Ident) {
         continue;
       }
-      const bool config_like =
-          (s.name.size() >= 6 && s.name.compare(s.name.size() - 6, 6, "Config") == 0) ||
-          (s.name.size() >= 4 && s.name.compare(s.name.size() - 4, 4, "Spec") == 0);
-      if (!config_like) {
-        continue;
+      if (kMetricCalls.count(toks[i].text) &&
+          (is_p(toks[i - 1], ".") || is_p(toks[i - 1], "->")) && is_p(toks[i + 1], "(") &&
+          toks[i + 2].kind == Tok::Kind::Str) {
+        const std::string key = metric_key(toks[i].text, toks[i + 2].text);
+        if (!used_metrics.count(key)) {
+          used_metrics.emplace(key, std::make_pair(f, toks[i + 2].line));
+        }
       }
-      // Walk member statements at class depth 0; skip nested braces. A brace
-      // block followed by `;` is an initializer (field stays); one without
-      // is a method definition (whole statement discarded).
-      std::size_t slice_start = s.open + 1;
-      for (std::size_t i = s.open + 1; i < s.close; ++i) {
-        if (is_p(toks[i], "{")) {
-          const std::size_t close = match_brace(toks, i);
-          if (close + 1 < s.close && is_p(toks[close + 1], ";")) {
-            i = close;  // braced init: keep the slice, `;` ends it below
-            continue;
-          }
-          i = close;
-          slice_start = close + 1;  // method definition: discard the slice
-          continue;
-        }
-        if (!is_p(toks[i], ";")) {
-          continue;
-        }
-        // Slice [slice_start, i): a member declaration unless it has a
-        // parameter list (method prototype) or is access-specifier noise.
-        const std::size_t begin = slice_start;
-        slice_start = i + 1;
-        bool has_paren = false;
-        std::size_t eq = 0;
-        for (std::size_t j = begin; j < i; ++j) {
-          if (is_p(toks[j], "(")) {
-            has_paren = true;
-            break;
-          }
-          if (eq == 0 && is_p(toks[j], "=")) {
-            eq = j;
-          }
-        }
-        if (has_paren || begin >= i) {
-          continue;
-        }
-        std::size_t name_end = eq != 0 ? eq : i;
-        // `double x{1.0};` — the name sits before the brace.
-        for (std::size_t j = begin; j < name_end; ++j) {
-          if (is_p(toks[j], "{")) {
-            name_end = j;
-            break;
-          }
-        }
-        std::size_t name_idx = toks.size();
-        for (std::size_t j = name_end; j-- > begin;) {
-          if (toks[j].kind == Tok::Kind::Ident) {
-            name_idx = j;
-            break;
-          }
-        }
-        if (name_idx >= toks.size() || kNotAField.count(toks[name_idx].text)) {
-          continue;
-        }
-        const std::string& field = toks[name_idx].text;
-        if (ident_count[field] <= 1) {
-          emit(f, "drift-dead-config", f->path, toks[name_idx].line,
-               "field '" + field + "' of " + s.name + " is never read anywhere",
-               "wire it up or delete it");
+      if (!trace_def && toks[i].text == "EventKind" && is_p(toks[i + 1], "::") &&
+          toks[i + 2].kind == Tok::Kind::Ident) {
+        const std::string ev = snake_case(toks[i + 2].text);
+        if (!used_events.count(ev)) {
+          used_events.emplace(ev, std::make_pair(f, toks[i + 2].line));
         }
       }
     }
   }
-
-  std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
-    return std::tie(a.file, a.line, a.check, a.message) <
-           std::tie(b.file, b.line, b.check, b.message);
-  });
+  std::set<std::string> registered_metrics;
+  if (registry.contains("metrics")) {
+    for (const util::Json& m : registry.at("metrics").as_array()) {
+      registered_metrics.insert(metric_key(m.at("kind").as_string(), m.at("name").as_string()));
+    }
+  }
+  std::set<std::string> registered_events;
+  if (registry.contains("trace_events")) {
+    for (const util::Json& e : registry.at("trace_events").as_array()) {
+      registered_events.insert(e.as_string());
+    }
+  }
+  const std::string registry_path = kRegistryPath;
+  for (const auto& [key, site] : used_metrics) {
+    if (!registered_metrics.count(key)) {
+      const std::size_t colon = key.find(':');
+      emit(site.first, "drift-metric-name", site.first->path, site.second,
+           key.substr(0, colon) + " '" + key.substr(colon + 1) +
+               "' is emitted here but missing from the telemetry registry",
+           "add it to " + registry_path + " (or fix the name)");
+    }
+  }
+  for (const std::string& key : registered_metrics) {
+    if (!used_metrics.count(key)) {
+      const std::size_t colon = key.find(':');
+      emit(nullptr, "drift-metric-name", registry_path, 1,
+           key.substr(0, colon) + " '" + key.substr(colon + 1) +
+               "' is registered but never emitted anywhere",
+           "remove the stale entry from " + registry_path);
+    }
+  }
+  for (const auto& [ev, site] : used_events) {
+    if (!registered_events.count(ev)) {
+      emit(site.first, "drift-trace-event", site.first->path, site.second,
+           "trace event '" + ev + "' is used here but missing from the telemetry registry",
+           "add it to " + registry_path + " (or fix the enumerator)");
+    }
+  }
+  for (const std::string& ev : registered_events) {
+    if (!used_events.count(ev)) {
+      emit(nullptr, "drift-trace-event", registry_path, 1,
+           "trace event '" + ev + "' is registered but never used anywhere",
+           "remove the stale entry from " + registry_path);
+    }
+  }
   return out;
 }
 

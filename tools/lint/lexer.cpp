@@ -64,7 +64,6 @@ void record_include(LexedFile& out, const std::string& directive) {
 
 LexedFile lex(const std::string& src) {
   LexedFile out;
-  out.bytes = src.size();
   std::size_t i = 0;
   std::size_t line = 1;
   bool line_start = true;  // only whitespace seen since the last newline
@@ -226,68 +225,6 @@ LexedFile lex(const std::string& src) {
     ++i;
   }
   return out;
-}
-
-void extend_allows_to_statements(LexedFile& file) {
-  if (file.allows_extended) {
-    return;
-  }
-  file.allows_extended = true;
-  const std::vector<Tok>& toks = file.toks;
-  for (const auto& [allow_line, checks] : file.allows) {
-    // First token at or after the allow line: either the statement the
-    // comment trails, or the statement starting underneath it.
-    std::size_t start = toks.size();
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-      if (toks[i].line >= allow_line) {
-        start = i;
-        break;
-      }
-    }
-    if (start >= toks.size()) {
-      continue;
-    }
-    // Walk forward to the statement's end: the `;` at bracket depth zero
-    // relative to the start, or the close of a brace block the statement
-    // opened (function/lambda bodies without a trailing `;`). Bounded so a
-    // pathological construct cannot swallow the rest of the file.
-    constexpr std::size_t kMaxToks = 800;
-    int paren = 0;
-    int brace = 0;
-    std::size_t last_line = toks[start].line;
-    for (std::size_t i = start; i < toks.size() && i - start < kMaxToks; ++i) {
-      const Tok& t = toks[i];
-      if (t.kind == Tok::Kind::Punct) {
-        if (t.text == "(" || t.text == "[") {
-          ++paren;
-        } else if (t.text == ")" || t.text == "]") {
-          --paren;
-          if (paren < 0) {
-            break;  // closing an enclosing call — the statement ended before it
-          }
-        } else if (t.text == "{") {
-          ++brace;
-        } else if (t.text == "}") {
-          --brace;
-          if (brace < 0) {
-            break;  // closing an enclosing block
-          }
-          if (brace == 0 && paren == 0 &&
-              (i + 1 >= toks.size() || toks[i + 1].text != ";")) {
-            last_line = t.line;  // block-shaped statement without trailing `;`
-            break;
-          }
-        } else if (t.text == ";" && paren == 0 && brace == 0) {
-          last_line = t.line;
-          break;
-        }
-      }
-      last_line = t.line;
-    }
-    for (std::size_t l = toks[start].line; l <= last_line; ++l) {
-      file.extended_allows[l].insert(checks.begin(), checks.end());
-    }
-  }
 }
 
 }  // namespace acclaim::lint

@@ -11,10 +11,7 @@
 //        line -> allowed-check-id sets, and
 //      - `#include "..."` targets are recorded for the include graph.
 //
-// An allow comment covers its own line, the line after it, and — once
-// extend_allows_to_statements() has run — every physical line of the
-// statement that starts under it, so one allow above a multi-line
-// parallel_for call suppresses findings anywhere inside the call.
+// An allow comment covers its own line and the line after it.
 #pragma once
 
 #include <cstddef>
@@ -38,28 +35,11 @@ using AllowMap = std::map<std::size_t, std::set<std::string>>;
 struct LexedFile {
   std::vector<Tok> toks;
   AllowMap allows;
-  /// Statement-extent coverage derived from `allows` by
-  /// extend_allows_to_statements(). Kept separate because it is matched on
-  /// the exact finding line only: comment lines also cover the line below
-  /// them, and folding the extension into `allows` would let a suppression
-  /// bleed one line past its statement onto the next one.
-  AllowMap extended_allows;
   /// Targets of `#include "..."` directives (quoted form only — angle
   /// includes are system headers the project checks never need).
   std::vector<std::string> includes;
-  std::size_t bytes = 0;
-  /// Set once extend_allows_to_statements() has run (it must not re-seed
-  /// extensions from the lines it added itself).
-  bool allows_extended = false;
 };
 
 LexedFile lex(const std::string& src);
-
-/// Extends every allow comment's coverage over the full statement that
-/// starts on the covered line: scanning forward from the first token at or
-/// after the allow line, all lines up to the statement's terminating `;`
-/// (or the close of a brace block opened during the scan) inherit the
-/// allowed ids. Idempotent; called once per file by the analysis layer.
-void extend_allows_to_statements(LexedFile& file);
 
 }  // namespace acclaim::lint

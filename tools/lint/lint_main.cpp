@@ -1,42 +1,22 @@
 // acclaim_lint CLI — scans the repo's own sources for determinism and
-// correctness rule violations (see lint.hpp for the check catalogue).
+// correctness rule violations (see lint.hpp for the checks).
 //
-// usage: acclaim_lint [--root DIR] [--baseline FILE] [--write-baseline]
-//                     [--baseline-shrink] [--json] [--sarif FILE]
-//                     [--threads N] [--list-checks] [paths...]
+// usage: acclaim_lint [--root DIR]
 //
-//   --root DIR        repo root all paths are resolved against (default: .)
-//   --baseline FILE   known-debt ratchet file (default: tools/lint_baseline.json
-//                     under the root when it exists)
-//   --write-baseline  rewrite the baseline to exactly cover today's findings
-//   --baseline-shrink ratchet: rewrite the baseline down to today's counts
-//                     (only ever shrinks — fresh findings still fail the gate)
-//   --json            machine-readable report on stdout instead of a table
-//   --sarif FILE      also write a SARIF 2.1.0 report (for code scanning)
-//   --threads N       scan concurrency (default: hardware concurrency)
-//   --list-checks     print the check catalogue and exit
-//   paths             files or directories relative to the root
-//                     (default: src tools tests bench)
+// Scans src/ tools/ tests/ bench/ examples/ under DIR (default: .), always
+// all five: the drift checks compare the whole tree against
+// tools/telemetry_registry.json, so a partial scan would report every
+// metric it did not see as unused.
 //
-// Exit codes: 0 clean (baselined debt and stale entries do not fail),
-// 1 findings above the baseline, 2 usage or I/O error.
-//
-// Every file is read and tokenized exactly once per scan: headers shared by
-// many .cpp files enter the project index a single time and their symbol
-// tables are merged into each includer through the include graph.
-#include <algorithm>
-#include <chrono>
-#include <cstdlib>
+// Exit codes: 0 clean, 1 any finding, 2 usage or I/O error.
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "lint/lint.hpp"
-#include "lint/sarif.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
 
@@ -55,28 +35,6 @@ bool skip_dir(const fs::path& p) {
   return name == ".git" || name.rfind("build", 0) == 0;
 }
 
-void collect_files(const fs::path& root, const fs::path& rel, std::vector<std::string>& out) {
-  const fs::path abs = root / rel;
-  if (fs::is_regular_file(abs)) {
-    if (lintable_extension(abs)) {
-      out.push_back(rel.generic_string());
-    }
-    return;
-  }
-  if (!fs::is_directory(abs)) {
-    throw IoError("lint path does not exist: " + abs.string());
-  }
-  for (fs::recursive_directory_iterator it(abs), end; it != end; ++it) {
-    if (it->is_directory() && skip_dir(it->path())) {
-      it.disable_recursion_pending();
-      continue;
-    }
-    if (it->is_regular_file() && lintable_extension(it->path())) {
-      out.push_back(fs::relative(it->path(), root).generic_string());
-    }
-  }
-}
-
 std::string read_file(const fs::path& p) {
   std::ifstream in(p, std::ios::binary);
   if (!in) {
@@ -87,157 +45,65 @@ std::string read_file(const fs::path& p) {
   return ss.str();
 }
 
-void list_checks(std::ostream& os) {
-  util::TablePrinter table({"id", "severity", "rule"});
-  for (const lint::CheckInfo& c : lint::all_checks()) {
-    table.add_row({c.id, lint::severity_name(c.severity), c.summary});
+/// Appends every lintable file under root/dir, named by its root-relative
+/// path.
+void collect_files(const fs::path& root, const std::string& dir,
+                   std::vector<lint::SourceFile>& out) {
+  const fs::path abs = root / dir;
+  if (!fs::is_directory(abs)) {
+    throw IoError("lint directory does not exist: " + abs.string());
   }
-  table.print(os);
-}
-
-/// `::warning` workflow commands surface stale-baseline debt directly in the
-/// GitHub Actions run annotations; a plain stderr note elsewhere.
-void warn_stale(const lint::GateResult& gate) {
-  if (gate.stale.empty()) {
-    return;
-  }
-  const bool actions = std::getenv("GITHUB_ACTIONS") != nullptr;
-  for (const lint::GateResult::Stale& s : gate.stale) {
-    if (actions) {
-      std::cout << "::warning file=" << s.file << "::stale lint baseline entry " << s.check
-                << " allows " << s.allowed << " but only " << s.actual
-                << " remain; run acclaim_lint --baseline-shrink\n";
-    } else {
-      std::cerr << "acclaim-lint: baseline is stale (" << s.check << " @ " << s.file
-                << "); run --baseline-shrink to ratchet it down\n";
+  for (fs::recursive_directory_iterator it(abs), end; it != end; ++it) {
+    if (it->is_directory() && skip_dir(it->path())) {
+      it.disable_recursion_pending();
+      continue;
+    }
+    if (it->is_regular_file() && lintable_extension(it->path())) {
+      out.push_back({fs::relative(it->path(), root).generic_string(), read_file(it->path())});
     }
   }
+}
+
+/// A util::TablePrinter table of the findings plus a summary line.
+void render_report(std::ostream& os, const std::vector<lint::Finding>& findings,
+                   std::size_t files_scanned) {
+  if (!findings.empty()) {
+    util::TablePrinter table({"check", "location", "message"});
+    for (const lint::Finding& f : findings) {
+      std::string msg = f.message;
+      if (!f.hint.empty()) {
+        msg += " [fix: " + f.hint + "]";
+      }
+      table.add_row({f.check, f.file + ":" + std::to_string(f.line), msg});
+    }
+    table.print(os);
+  }
+  os << "acclaim-lint: " << findings.size() << " finding(s), " << files_scanned
+     << " file(s) scanned\n";
 }
 
 int run(int argc, char** argv) {
-  std::string root = ".";
-  std::string baseline_path;
-  std::string sarif_path;
-  bool write_baseline = false;
-  bool baseline_shrink = false;
-  bool json = false;
-  int threads = static_cast<int>(std::thread::hardware_concurrency());
-  std::vector<std::string> paths;
-
+  fs::path root = ".";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&](const char* flag) -> std::string {
-      if (i + 1 >= argc) {
-        throw InvalidArgument(std::string(flag) + " requires a value");
-      }
-      return argv[++i];
-    };
-    if (arg == "--root") {
-      root = next("--root");
-    } else if (arg == "--baseline") {
-      baseline_path = next("--baseline");
-    } else if (arg == "--write-baseline") {
-      write_baseline = true;
-    } else if (arg == "--baseline-shrink") {
-      baseline_shrink = true;
-    } else if (arg == "--json") {
-      json = true;
-    } else if (arg == "--sarif") {
-      sarif_path = next("--sarif");
-    } else if (arg == "--threads") {
-      threads = std::stoi(next("--threads"));
-    } else if (arg == "--list-checks") {
-      list_checks(std::cout);
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      throw InvalidArgument("unknown flag: " + arg + " (see the header of lint_main.cpp)");
+    if (arg == "--root" && i + 1 < argc) {
+      root = argv[++i];
     } else {
-      paths.push_back(arg);
-    }
-  }
-  if (paths.empty()) {
-    paths = {"src", "tools", "tests", "bench"};
-  }
-  const fs::path root_path(root);
-  if (baseline_path.empty()) {
-    const fs::path def = root_path / "tools" / "lint_baseline.json";
-    if (fs::exists(def)) {
-      baseline_path = def.string();
+      throw InvalidArgument("unexpected argument '" + arg + "'; usage: acclaim_lint [--root DIR]");
     }
   }
 
-  std::vector<std::string> rels;
-  for (const std::string& p : paths) {
-    if (!fs::exists(root_path / p) && (p == "bench" || p == "tests")) {
-      continue;  // optional default trees
-    }
-    collect_files(root_path, p, rels);
-  }
-  std::sort(rels.begin(), rels.end());
-  rels.erase(std::unique(rels.begin(), rels.end()), rels.end());
-
-  lint::LintOptions opt;
-  const fs::path registry = root_path / opt.registry_path;
-  if (fs::exists(registry)) {
-    opt.telemetry_registry = util::Json::parse_file(registry.string());
-  }
-
-  const auto t0 = std::chrono::steady_clock::now();
   std::vector<lint::SourceFile> sources;
-  sources.reserve(rels.size());
-  for (const std::string& rel : rels) {
-    sources.push_back({rel, read_file(root_path / rel)});
+  for (const char* dir : {"src", "tools", "tests", "bench", "examples"}) {
+    collect_files(root, dir, sources);
   }
-  const lint::ProjectReport report = lint::lint_files(sources, opt, threads);
-  const double wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  const std::string default_baseline =
-      (root_path / "tools" / "lint_baseline.json").string();
-  if (write_baseline) {
-    const std::string out = baseline_path.empty() ? default_baseline : baseline_path;
-    lint::baseline_from_findings(report.findings).to_json().dump_file(out);
-    std::cerr << "acclaim-lint: wrote baseline (" << report.findings.size()
-              << " finding(s)) to " << out << "\n";
-    return 0;
+  util::Json registry;
+  if (fs::exists(root / lint::kRegistryPath)) {
+    registry = util::Json::parse_file((root / lint::kRegistryPath).string());
   }
-
-  const lint::Baseline baseline =
-      baseline_path.empty() ? lint::Baseline{} : lint::Baseline::load(baseline_path);
-  const lint::GateResult gate = lint::apply_baseline(report.findings, baseline);
-
-  if (baseline_shrink) {
-    // Ratchet: every (check, file) allowance drops to the current count.
-    // Fresh findings are NOT absorbed — the gate below still fails on them.
-    lint::Baseline shrunk;
-    for (const auto& [key, allowed] : baseline.entries()) {
-      int actual = 0;
-      for (const lint::Finding& f : report.findings) {
-        actual += (f.check == key.first && f.file == key.second) ? 1 : 0;
-      }
-      const int kept = std::min(allowed, actual);
-      if (kept > 0) {
-        shrunk.set(key.first, key.second, kept);
-      }
-    }
-    const std::string out = baseline_path.empty() ? default_baseline : baseline_path;
-    shrunk.to_json().dump_file(out);
-    std::cerr << "acclaim-lint: shrank baseline from " << baseline.entries().size()
-              << " to " << shrunk.entries().size() << " entr"
-              << (shrunk.entries().size() == 1 ? "y" : "ies") << " at " << out << "\n";
-  }
-
-  if (!sarif_path.empty()) {
-    lint::sarif_report(gate.fresh).dump_file(sarif_path);
-  }
-
-  if (json) {
-    std::cout << lint::report_json(gate, report.files).dump(2) << "\n";
-  } else {
-    lint::render_report(std::cout, gate, report.files, wall_s);
-  }
-  warn_stale(gate);
-  return gate.ok() ? 0 : 1;
+  const std::vector<lint::Finding> findings = lint::lint_files(sources, registry);
+  render_report(std::cout, findings, sources.size());
+  return findings.empty() ? 0 : 1;
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 #include "lint/sema.hpp"
 
-#include <algorithm>
 #include <set>
+#include <utility>
 
 namespace acclaim::lint {
 
@@ -10,11 +10,6 @@ namespace {
 bool is_unordered_name(const std::string& s) {
   return s == "unordered_map" || s == "unordered_set" || s == "unordered_multimap" ||
          s == "unordered_multiset";
-}
-
-bool is_mutex_name(const std::string& s) {
-  return s == "mutex" || s == "shared_mutex" || s == "recursive_mutex" ||
-         s == "timed_mutex" || s == "shared_timed_mutex" || s == "recursive_timed_mutex";
 }
 
 bool is_punct(const Tok& t, const char* text) {
@@ -74,6 +69,11 @@ std::size_t match_bracket(const std::vector<Tok>& toks, std::size_t open) {
   return toks.size();
 }
 
+namespace {
+
+/// Advances past a balanced <...> starting at toks[i] == "<"; returns the
+/// index just after the matching ">". Not confused by "<<" (lexed as one
+/// token, which cannot appear inside template arguments in this codebase).
 std::size_t skip_template_args(const std::vector<Tok>& toks, std::size_t i) {
   int depth = 0;
   while (i < toks.size()) {
@@ -93,6 +93,8 @@ std::size_t skip_template_args(const std::vector<Tok>& toks, std::size_t i) {
   return i;
 }
 
+/// Harvests declarations of the tracked types into `decls` (first
+/// declaration of a name wins).
 void harvest_decls(const std::vector<Tok>& toks, DeclMap& decls) {
   for (std::size_t i = 0; i < toks.size(); ++i) {
     if (toks[i].kind != Tok::Kind::Ident) {
@@ -128,12 +130,6 @@ void harvest_decls(const std::vector<Tok>& toks, DeclMap& decls) {
       }
       type = Sym::Float;
       j = i + 1;
-    } else if (is_mutex_name(t)) {
-      type = Sym::Mutex;
-      j = i + 1;
-    } else if (t == "thread" || t == "jthread") {
-      type = Sym::Thread;
-      j = i + 1;
     } else {
       continue;
     }
@@ -149,8 +145,6 @@ void harvest_decls(const std::vector<Tok>& toks, DeclMap& decls) {
     }
   }
 }
-
-namespace {
 
 const std::set<std::string>& control_keywords() {
   static const std::set<std::string> kSet = {"if",     "for", "while", "switch",
@@ -288,12 +282,11 @@ void classify_brace(const std::vector<Tok>& toks, std::size_t open, Scope& scope
   }
 }
 
-}  // namespace
-
+/// Builds the scope tree for a token stream.
 std::vector<Scope> build_scopes(const std::vector<Tok>& toks) {
   std::vector<Scope> scopes;
-  scopes.push_back({Scope::Kind::File, "", 0, toks.size(), -1});
-  std::vector<int> stack = {0};
+  scopes.push_back({Scope::Kind::File, "", 0, toks.size()});
+  std::vector<std::size_t> stack = {0};
   for (std::size_t i = 0; i < toks.size(); ++i) {
     if (toks[i].kind != Tok::Kind::Punct) {
       continue;
@@ -302,13 +295,12 @@ std::vector<Scope> build_scopes(const std::vector<Tok>& toks) {
       Scope s;
       s.open = i;
       s.close = toks.size();
-      s.parent = stack.back();
       classify_brace(toks, i, s);
       scopes.push_back(s);
-      stack.push_back(static_cast<int>(scopes.size()) - 1);
+      stack.push_back(scopes.size() - 1);
     } else if (toks[i].text == "}") {
       if (stack.size() > 1) {
-        scopes[static_cast<std::size_t>(stack.back())].close = i;
+        scopes[stack.back()].close = i;
         stack.pop_back();
       }
     }
@@ -316,36 +308,15 @@ std::vector<Scope> build_scopes(const std::vector<Tok>& toks) {
   return scopes;
 }
 
+}  // namespace
+
 FileIndex build_file_index(std::string path, const std::string& content) {
   FileIndex idx;
   idx.path = std::move(path);
   idx.lex = lex(content);
-  extend_allows_to_statements(idx.lex);
   idx.scopes = build_scopes(idx.lex.toks);
   harvest_decls(idx.lex.toks, idx.decls);
   return idx;
-}
-
-int innermost_scope(const std::vector<Scope>& scopes, std::size_t tok_idx) {
-  int best = 0;
-  for (std::size_t s = 1; s < scopes.size(); ++s) {
-    if (scopes[s].open < tok_idx && tok_idx < scopes[s].close &&
-        scopes[s].open >= scopes[static_cast<std::size_t>(best)].open) {
-      best = static_cast<int>(s);
-    }
-  }
-  return best;
-}
-
-int enclosing_function(const std::vector<Scope>& scopes, int scope_idx) {
-  while (scope_idx >= 0) {
-    const Scope& s = scopes[static_cast<std::size_t>(scope_idx)];
-    if (s.kind == Scope::Kind::Function || s.kind == Scope::Kind::Lambda) {
-      return scope_idx;
-    }
-    scope_idx = s.parent;
-  }
-  return -1;
 }
 
 }  // namespace acclaim::lint

@@ -4,9 +4,8 @@
 // every check. The tree is a brace-nesting skeleton — namespaces, classes,
 // functions, lambdas, and plain blocks — classified from the statement head
 // before each `{`. It is deliberately approximate (no template
-// instantiation, no overload resolution): the flow-aware checks only need
-// "which function am I in", "when does this guard's block close", and "what
-// simplified type does this name have".
+// instantiation, no overload resolution): the checks only need "which
+// function am I in" and "what simplified type does this name have".
 #pragma once
 
 #include <cstddef>
@@ -19,13 +18,9 @@
 namespace acclaim::lint {
 
 /// Simplified variable types the checks reason about.
-enum class Sym { Rng, Unordered, Float, Atomic, Mutex, Thread };
+enum class Sym { Rng, Unordered, Float, Atomic };
 
 using DeclMap = std::map<std::string, Sym>;
-
-/// Harvests declarations of the tracked types into `decls` (first
-/// declaration of a name wins, matching companion-header precedence).
-void harvest_decls(const std::vector<Tok>& toks, DeclMap& decls);
 
 struct Scope {
   enum class Kind { File, Namespace, Class, Function, Lambda, Block };
@@ -37,8 +32,6 @@ struct Scope {
   /// (File: toks.size()).
   std::size_t open = 0;
   std::size_t close = 0;
-  /// Index into the scope vector; -1 for the File scope.
-  int parent = -1;
 };
 
 /// One analyzed file: token stream plus the derived semantic structures.
@@ -52,30 +45,14 @@ struct FileIndex {
   DeclMap decls;
 };
 
-/// Builds the scope tree for a token stream.
-std::vector<Scope> build_scopes(const std::vector<Tok>& toks);
-
 /// Lexes `content` and derives scopes + declarations. `path` is the
 /// repo-relative path used for layer scoping and reporting.
 FileIndex build_file_index(std::string path, const std::string& content);
-
-/// Index of the deepest scope whose extent contains token `tok_idx`
-/// (always at least 0, the File scope).
-int innermost_scope(const std::vector<Scope>& scopes, std::size_t tok_idx);
-
-/// Walks parents from `scope_idx` to the nearest Function or Lambda scope;
-/// -1 when the token is at namespace/file level.
-int enclosing_function(const std::vector<Scope>& scopes, int scope_idx);
 
 // Token-tree matching helpers shared by the checks (indices are into the
 // token vector; a failed match returns toks.size()).
 std::size_t match_paren(const std::vector<Tok>& toks, std::size_t open);
 std::size_t match_brace(const std::vector<Tok>& toks, std::size_t open);
 std::size_t match_bracket(const std::vector<Tok>& toks, std::size_t open);
-
-/// Advances past a balanced <...> starting at toks[i] == "<"; returns the
-/// index just after the matching ">". Not confused by "<<" (lexed as one
-/// token, which cannot appear inside template arguments in this codebase).
-std::size_t skip_template_args(const std::vector<Tok>& toks, std::size_t i);
 
 }  // namespace acclaim::lint

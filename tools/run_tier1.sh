@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build, and run the full ctest suite, then
 # (by default) rebuild the threading suites under ThreadSanitizer and run
-# the determinism/stress labels as a second configuration. Each stage prints
-# a one-line PASS/FAIL summary at the end; the exit code names the first
-# failing stage.
+# the determinism/stress labels plus test_serve as a second configuration.
+# Each stage prints a one-line PASS/FAIL summary at the end; the exit code
+# names the first failing stage.
 #
 # usage: tools/run_tier1.sh [--sanitize LIST] [--build-dir DIR] [--jobs N]
 #                           [--tsan | --skip-tsan] [--lint]
@@ -13,14 +13,14 @@
 #                     sanitizers are on, so the two configurations coexist)
 #   --jobs N          parallel build/test jobs (default: nproc)
 #   --tsan            run ONLY the TSan configuration (build-tsan tree,
-#                     ctest -L "determinism|stress")
+#                     ctest -L "determinism|stress", then test_serve)
 #   --skip-tsan       skip the TSan pass after the main suite
 #   --lint            run ONLY the static-analysis stages: build and run
-#                     acclaim_lint over src/ tools/ tests/ bench/ (the same
-#                     scan + summary line CI's lint job gates on), then
-#                     clang-tidy via compile_commands.json when clang-tidy
-#                     is installed (skipped with a note otherwise — the
-#                     gcc-only dev container has no clang)
+#                     acclaim_lint --root <repo> (it scans src/ tools/
+#                     tests/ bench/ examples/ and fails on any finding),
+#                     then clang-tidy via compile_commands.json when
+#                     clang-tidy is installed (skipped with a note
+#                     otherwise)
 set -uo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -97,28 +97,32 @@ finish() {
 
 run_tsan() {
   # The determinism/stress labels cover every parallel_for call site with
-  # 2-8 thread pools; TSan on those suites is the data-race gate. The pool
-  # sizes in the tests don't depend on the host's core count, so this is
-  # meaningful even on a 1-core CI runner. ACCLAIM_THREADS is cleared so
-  # the environment cannot pin the suites back to one thread.
+  # 2-8 thread pools, and test_serve covers the serving store's concurrent
+  # readers and publishers and the sharded decision cache; TSan on those
+  # suites is the data-race gate. The thread counts in the tests don't
+  # depend on the host's core count, so this is meaningful even on a 1-core
+  # CI runner. ACCLAIM_THREADS is cleared so the environment cannot pin the
+  # suites back to one thread.
   local tsan_dir="$repo_root/build-tsan"
+  local tsan_env=(env -u ACCLAIM_THREADS
+                  TSAN_OPTIONS="suppressions=$repo_root/tools/tsan.supp ${TSAN_OPTIONS:-}")
   cmake -B "$tsan_dir" -S "$repo_root" -DACCLAIM_SANITIZE=thread &&
-  cmake --build "$tsan_dir" --target test_thread_pool test_determinism test_properties -j "$jobs" &&
+  cmake --build "$tsan_dir" --target test_thread_pool test_determinism test_properties \
+    test_serve -j "$jobs" &&
   # --no-tests=error: a label filter that matches nothing must fail loudly,
   # not report success with zero tests run (a renamed label would otherwise
   # silently disable the race gate).
-  env -u ACCLAIM_THREADS \
-    TSAN_OPTIONS="suppressions=$repo_root/tools/tsan.supp ${TSAN_OPTIONS:-}" \
-    ctest --test-dir "$tsan_dir" -L "determinism|stress" --no-tests=error \
-    --output-on-failure -j "$jobs"
+  "${tsan_env[@]}" ctest --test-dir "$tsan_dir" -L "determinism|stress" --no-tests=error \
+    --output-on-failure -j "$jobs" &&
+  # test_serve carries the `unit` label, so it runs as a binary; a TSan
+  # report makes it exit non-zero.
+  "${tsan_env[@]}" "$tsan_dir/tests/test_serve"
 }
 
 run_acclaim_lint() {
-  # Same invocation CI's lint job uses (minus the SARIF upload): whole-tree
-  # scan with the per-file summary line, gated on the ratchet baseline.
+  # The whole-tree scan CI's lint job gates on; exits 1 on any finding.
   cmake --build "$repo_root/$build_dir" --target acclaim_lint -j "$jobs" &&
-  "$repo_root/$build_dir/tools/acclaim_lint" --root "$repo_root" \
-    --baseline "$repo_root/tools/lint_baseline.json" src tools tests bench
+  "$repo_root/$build_dir/tools/acclaim_lint" --root "$repo_root"
 }
 
 run_clang_tidy() {
