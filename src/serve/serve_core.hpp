@@ -8,7 +8,7 @@
 //                 |
 //                (miss)
 //                 v
-//          ModelSnapshot (atomic load, never locks out publishers)
+//          ModelSnapshot (pointer copied under its store shard's shared lock)
 //                 v
 //          CollectiveModel::select / select_batch (flat-forest kernels,
 //          batches fan out on the global thread pool)

@@ -84,6 +84,19 @@ TEST(Json, ParseErrorsCarryPosition) {
   EXPECT_THROW(Json::parse("01a"), acclaim::ParseError);
 }
 
+TEST(Json, MalformedAndOutOfRangeNumbersAreParseErrors) {
+  // What std::stod rejects or cannot hold surfaces as a ParseError naming
+  // the token, never as a std:: exception.
+  for (const char* text : {"1e999", "-1e999", "-", "1e", "1.2.3", "--1"}) {
+    try {
+      Json::parse(text);
+      ADD_FAILURE() << text << " parsed";
+    } catch (const acclaim::ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("invalid number"), std::string::npos) << text;
+    }
+  }
+}
+
 TEST(Json, TypeMismatchThrows) {
   const Json j = Json::parse("[1,2,3]");
   EXPECT_THROW(j.as_object(), acclaim::InvalidArgument);

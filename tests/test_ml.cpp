@@ -227,6 +227,15 @@ TEST(Metrics, KnownValues) {
   EXPECT_THROW(ml::r2({}, {}), InvalidArgument);
 }
 
+TEST(Metrics, R2OfAConstantTargetIsOneIfExactElseZero) {
+  // A constant target leaves no variance to explain: r2 is 1 for an exact
+  // prediction and 0 for any other, however close.
+  const std::vector<double> truth{3.0, 3.0, 3.0};
+  EXPECT_EQ(ml::r2(truth, {3.0, 3.0, 3.0}), 1.0);
+  EXPECT_EQ(ml::r2(truth, {3.0, 3.0, 3.0 + 1e-12}), 0.0);
+  EXPECT_EQ(ml::r2(truth, {0.0, 0.0, 0.0}), 0.0);
+}
+
 // Property sweep: forests of any size fit their training data reasonably.
 class ForestSizes : public testing::TestWithParam<int> {};
 

@@ -195,6 +195,22 @@ TEST_F(TelemetryTest, RenderMetricsSummarySmoke) {
   EXPECT_NE(out.find("p95"), std::string::npos);
 }
 
+TEST_F(TelemetryTest, RenderMetricsSummaryOmitsOnlyNeverTouchedInstruments) {
+  // Exactly zero means never touched; a tiny nonzero gauge is still shown.
+  telemetry::MetricsRegistry& reg = telemetry::metrics();
+  reg.counter("sum.idle_counter");
+  reg.gauge("sum.idle_gauge");
+  reg.counter("sum.busy_counter").add(1);
+  reg.gauge("sum.tiny_gauge").set(1e-9);
+  std::ostringstream os;
+  telemetry::render_metrics_summary(reg.to_json(), os);
+  const std::string out = os.str();
+  EXPECT_EQ(out.find("sum.idle_counter"), std::string::npos);
+  EXPECT_EQ(out.find("sum.idle_gauge"), std::string::npos);
+  EXPECT_NE(out.find("sum.busy_counter"), std::string::npos);
+  EXPECT_NE(out.find("sum.tiny_gauge"), std::string::npos);
+}
+
 TEST_F(TelemetryTest, RenderMetricsSummaryRejectsNonSnapshot) {
   std::ostringstream os;
   EXPECT_THROW(telemetry::render_metrics_summary(util::Json::object(), os), Error);

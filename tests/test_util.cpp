@@ -167,6 +167,17 @@ TEST(Stats, GeomeanAndPearson) {
   EXPECT_EQ(pearson(a, {1, 1, 1, 1, 1}), 0.0);
 }
 
+TEST(Stats, PearsonOfANearlyConstantSeriesIsStillDefined) {
+  // Only exactly zero variance counts as undefined: a series that moves by
+  // 1e-9 still follows its trend perfectly.
+  const std::vector<double> a = {1, 2, 3, 4, 5};
+  std::vector<double> tiny;
+  for (double x : a) {
+    tiny.push_back(1.0 + 1e-9 * x);
+  }
+  EXPECT_NEAR(pearson(a, tiny), 1.0, 1e-6);
+}
+
 TEST(Csv, WriteReadRoundTrip) {
   const std::string path = std::filesystem::temp_directory_path() / "acclaim_csv_test.csv";
   {
