@@ -54,11 +54,9 @@ Replay replay(const std::vector<bench::BenchmarkPoint>& points, const simnet::To
   int batches = 0;
   std::size_t done = 0;
   while (!pool.empty()) {
-    std::vector<std::size_t> ranked(pool.size());
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      ranked[i] = i;
-    }
-    const core::CollectionBatch batch = sched.plan(pool, ranked, topo, alloc);
+    std::size_t next = 0;
+    const core::CollectionBatch batch =
+        sched.plan(pool, pool.size(), [&] { return next++; }, topo, alloc);
     if (batch.items.empty()) {
       break;  // top point does not fit this placement at all
     }

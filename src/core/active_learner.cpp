@@ -1,13 +1,11 @@
 #include "core/active_learner.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <set>
 #include <utility>
 
 #include "core/feature_space.hpp"
-#include "telemetry/audit.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/profiler.hpp"
 #include "telemetry/trace.hpp"
@@ -81,11 +79,12 @@ TrainingResult ActiveLearner::run() {
   std::vector<double> ema_history;
   int calm_iters = 0;
   std::size_t points_at_last_fit = 0;
-  int nonp2_counter = 0;
 
-  const CollectionScheduler scheduler(CollectionSchedulerConfig{config_.topology_aware});
-  const bool can_parallel = config_.parallel_collection && env_.topology() != nullptr &&
-                            env_.allocation() != nullptr;
+  // The learner's scheduler is always topology-aware; the naive ablation
+  // lives in fig13 only.
+  const CollectionScheduler scheduler;
+  const simnet::Topology* topo = env_.topology();
+  const simnet::Allocation* alloc = env_.allocation();
 
   // The warm path refits on the fresh measurements plus the transferred
   // support set, minus any support point a fresh measurement overrides (same
@@ -134,97 +133,34 @@ TrainingResult ActiveLearner::run() {
 
   while (!pool.empty() && result.collected.size() < cap) {
     ++result.iterations;
-    int batch_size = 1;
-    bool collected_this_iter = false;
-
-    if (can_parallel && result.model.trained()) {
-      const std::vector<std::size_t> ranked = policy_.rank(result.model, pool);
-      if (!ranked.empty()) {
-        CollectionBatch batch =
-            scheduler.plan(pool, ranked, *env_.topology(), *env_.allocation());
-        if (!batch.items.empty()) {
-          // Apply the non-P2 cadence across scheduled items (§IV-B).
-          for (auto& item : batch.items) {
-            ++nonp2_counter;
-            if (config_.parallel_nonp2_cadence > 0 &&
-                nonp2_counter % config_.parallel_nonp2_cadence == 0) {
-              if (const auto m = env_.nonp2_msg_near(item.point.scenario.msg_bytes, rng)) {
-                item.point.scenario.msg_bytes = *m;
-              }
-            }
-          }
-          const auto measurements = env_.measure_scheduled(batch.items);
-          for (std::size_t i = 0; i < batch.items.size(); ++i) {
-            result.collected.push_back({batch.items[i].point, measurements[i].mean_us});
-            policy_.observe(batch.items[i].point, measurements[i].mean_us);
-            // The batch path bypasses policy_.next(), so it must emit its
-            // own point_acquired events to keep the trace's acquisition
-            // count equal to the points actually collected.
-            if (telemetry::tracer().enabled()) {
-              const bench::BenchmarkPoint& point = batch.items[i].point;
-              telemetry::TraceEvent ev;
-              ev.kind = telemetry::EventKind::PointAcquired;
-              ev.label = coll::collective_name(collective_);
-              ev.fields["nnodes"] = point.scenario.nnodes;
-              ev.fields["ppn"] = point.scenario.ppn;
-              ev.fields["msg_bytes"] = point.scenario.msg_bytes;
-              ev.fields["algorithm"] = coll::algorithm_info(point.algorithm).name;
-              ev.fields["batched"] = true;
-              telemetry::tracer().record(std::move(ev));
-            }
-          }
-          if (telemetry::audit().enabled()) {
-            // One record per batch round (the batch path bypasses
-            // policy_.next(), which covers the sequential path). Emitted on
-            // the learner's serial loop — det-audit-order.
-            const auto start = std::chrono::steady_clock::now();
-            const bench::BenchmarkPoint& top = batch.items.front().point;
-            telemetry::DecisionRecord rec;
-            rec.kind = telemetry::DecisionKind::Acquisition;
-            rec.source = "policy";
-            rec.collective = coll::collective_name(collective_);
-            rec.nnodes = top.scenario.nnodes;
-            rec.ppn = top.scenario.ppn;
-            rec.msg_bytes = top.scenario.msg_bytes;
-            rec.features = encode_point(top);
-            rec.chosen = coll::algorithm_info(top.algorithm).name;
-            if (batch.items.size() > 1) {
-              rec.runner_up = coll::algorithm_info(batch.items[1].point.algorithm).name;
-            }
-            // One extra forest query prices the batch's top pick; a full
-            // pool sweep here would double the acquisition cost.
-            rec.variance = result.model.jackknife_variance(top);
-            rec.acq_score = rec.variance;
-            rec.pool_size = static_cast<std::int64_t>(pool.size());
-            rec.round = static_cast<std::int64_t>(result.iterations);
-            rec.batch_size = static_cast<std::int64_t>(batch.items.size());
-            rec.tree_evals = static_cast<std::int64_t>(result.model.n_trees());
-            telemetry::audit().record(std::move(rec));
-            telemetry::observe_decision_cost(
-                std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() -
-                                                         start)
-                    .count());
-          }
-          // Erase consumed pool entries (descending index order).
-          std::vector<std::size_t> consumed = batch.consumed;
-          std::sort(consumed.rbegin(), consumed.rend());
-          for (std::size_t idx : consumed) {
-            pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(idx));
-          }
-          batch_size = static_cast<int>(batch.items.size());
-          collected_this_iter = true;
-        }
-      }
+    // One round: the policy scores the pool once and hands out picks. With
+    // a topology the scheduler places them on disjoint racks until the
+    // first misfit, the cap or a full allocation; without one (dataset
+    // lookups) a round is one pick, as it is until the first fit (the
+    // random seed phase).
+    policy_.begin_round(result.model, pool);
+    CollectionBatch batch;
+    if (topo != nullptr && alloc != nullptr) {
+      const std::size_t room = result.model.trained() ? cap - result.collected.size() : 1;
+      batch = scheduler.plan(pool, room, [&] { return policy_.draw(rng); }, *topo, *alloc);
+      require(!batch.items.empty(), "acquisition pick needs more nodes than the allocation has");
+    } else {
+      const std::size_t i = policy_.draw(rng);
+      batch.items.push_back(ScheduledBenchmark{pool[i], 0});
+      batch.consumed.push_back(i);
     }
-
-    if (!collected_this_iter) {
-      // Sequential path (also the seed phase and the rank-less fallback).
-      const AcquisitionPolicy::Pick pick = policy_.next(result.model, pool, env_, rng);
-      require(pick.pool_index < pool.size(), "acquisition returned bad pool index");
-      const bench::Measurement m = env_.measure(pick.point);
-      result.collected.push_back({pick.point, m.mean_us});
-      policy_.observe(pick.point, m.mean_us);
-      pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(pick.pool_index));
+    for (std::size_t i = 0; i < batch.items.size(); ++i) {
+      batch.items[i].point = policy_.accept(batch.consumed[i], env_, rng);
+    }
+    const std::vector<bench::Measurement> measurements = env_.measure_scheduled(batch.items);
+    for (std::size_t i = 0; i < batch.items.size(); ++i) {
+      result.collected.push_back({batch.items[i].point, measurements[i].mean_us});
+      policy_.observe(batch.items[i].point, measurements[i].mean_us);
+    }
+    // Erase consumed pool entries (descending index order).
+    std::sort(batch.consumed.rbegin(), batch.consumed.rend());
+    for (std::size_t idx : batch.consumed) {
+      pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(idx));
     }
 
     refit(/*force=*/false);
@@ -233,7 +169,7 @@ TrainingResult ActiveLearner::run() {
     rec.iteration = result.iterations;
     rec.points_collected = result.collected.size();
     rec.clock_s = env_.clock_s() - clock_start_s;
-    rec.batch_size = batch_size;
+    rec.batch_size = static_cast<int>(batch.items.size());
     if (result.model.trained()) {
       rec.cumulative_variance = result.model.cumulative_variance(candidates);
       if (monitor_) {

@@ -1,8 +1,11 @@
 // The active-learning training loop (Fig. 2(b)).
 //
-// Each iteration: the acquisition policy picks the next benchmark point(s),
-// the environment measures them (sequentially, or in parallel through the
-// topology-aware CollectionScheduler), the primary model is retrained, and
+// Each iteration is one acquisition round: the policy scores the pool once
+// and draws picks, the topology-aware CollectionScheduler places them on
+// disjoint racks of the job's allocation (§IV-D) until the first misfit or
+// the point cap, and the environment measures the batch in parallel. An
+// environment without topology (dataset lookups) takes one pick per round,
+// as does the random seed phase. Then the primary model is retrained and
 // convergence is tested on the cumulative jackknife variance — no test set
 // is ever collected (§IV-C).
 #pragma once
@@ -40,13 +43,6 @@ struct ActiveLearnerConfig {
   /// Convergence cannot fire before this many points are collected (guards
   /// against spuriously calm variance in the cold-start region).
   int min_points = 60;
-  /// Collect whole variance-ranked batches in parallel via the §IV-D greedy
-  /// scheduler (requires an environment with topology context).
-  bool parallel_collection = false;
-  bool topology_aware = true;
-  /// Non-P2 cadence applied in *parallel* mode (sequential mode delegates
-  /// this to the acquisition policy).
-  int parallel_nonp2_cadence = 5;
   /// Size of the compute thread pool used for forest fits, jackknife
   /// sweeps, and acquisition scoring. 0 leaves the global pool as it is
   /// (default: hardware concurrency, or the ACCLAIM_THREADS environment

@@ -14,11 +14,7 @@ namespace acclaim::core {
 
 AcclaimPipeline::AcclaimPipeline(simnet::MachineConfig machine, ActiveLearnerConfig learner,
                                  RuleGeneratorConfig rulegen)
-    : topo_(std::move(machine)), learner_(learner), rulegen_(rulegen) {
-  // Production runs default to the full ACCLAiM configuration.
-  learner_.parallel_collection = true;
-  learner_.topology_aware = true;
-}
+    : topo_(std::move(machine)), learner_(learner), rulegen_(rulegen) {}
 
 PipelineResult AcclaimPipeline::run(const JobSpec& spec) const { return run(spec, {}); }
 

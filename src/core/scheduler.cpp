@@ -12,7 +12,8 @@ namespace acclaim::core {
 CollectionScheduler::CollectionScheduler(CollectionSchedulerConfig config) : config_(config) {}
 
 CollectionBatch CollectionScheduler::plan(const std::vector<bench::BenchmarkPoint>& pool,
-                                          const std::vector<std::size_t>& ranked,
+                                          std::size_t max_items,
+                                          const std::function<std::size_t()>& pull,
                                           const simnet::Topology& topo,
                                           const simnet::Allocation& alloc) const {
   telemetry::ScopedTimer timer("scheduler.plan");
@@ -20,8 +21,11 @@ CollectionBatch CollectionScheduler::plan(const std::vector<bench::BenchmarkPoin
   // Nodes are consumed strictly left-to-right in allocation order, so the
   // used region is always a prefix and `cursor` fully describes it.
   int cursor = 0;
-  for (std::size_t pri : ranked) {
-    require(pri < pool.size(), "ranked index out of pool range");
+  std::size_t pulled = 0;
+  while (batch.items.size() < max_items && cursor < alloc.num_nodes()) {
+    const std::size_t pri = pull();
+    ++pulled;
+    require(pri < pool.size(), "pulled index out of pool range");
     const int need = pool[pri].scenario.nnodes;
     if (cursor + need > alloc.num_nodes()) {
       break;  // the paper's greedy stops at the first misfit
@@ -42,7 +46,7 @@ CollectionBatch CollectionScheduler::plan(const std::vector<bench::BenchmarkPoin
 
   static telemetry::Counter& candidates =
       telemetry::metrics().counter("scheduler.candidates_considered");
-  candidates.add(static_cast<std::uint64_t>(ranked.size()));
+  candidates.add(static_cast<std::uint64_t>(pulled));
   if (!batch.items.empty()) {
     static telemetry::Counter& batches = telemetry::metrics().counter("scheduler.batches");
     static telemetry::Counter& placed = telemetry::metrics().counter("scheduler.placements");
@@ -98,7 +102,7 @@ CollectionBatch CollectionScheduler::plan(const std::vector<bench::BenchmarkPoin
       ev.fields["fragments"] = fragments;
       ev.fields["shared_racks"] = shared_racks;
       ev.fields["topology_aware"] = config_.topology_aware;
-      ev.fields["candidates"] = ranked.size();
+      ev.fields["candidates"] = pulled;
       telemetry::tracer().record(std::move(ev));
     }
   }

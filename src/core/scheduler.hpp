@@ -1,17 +1,19 @@
 // Topology-aware parallel data collection (§IV-D).
 //
-// Given a variance-ranked list of pending benchmark points and the job's
-// allocation on a Dragonfly machine, the greedy algorithm packs benchmarks
-// onto disjoint node ranges such that no two benchmarks share a rack:
-//   1. take the highest-variance uncollected point p (needs n nodes);
+// Each acquisition round the greedy algorithm pulls picks from the
+// acquisition policy one at a time and packs them onto disjoint node ranges
+// of the job's allocation such that no two benchmarks share a rack:
+//   1. pull the next pick p (needs n nodes);
 //   2. try to place p on the next n unused sequential nodes;
 //   3. if it fits, mark those nodes — and all remaining nodes of the racks
-//      they touch — used, and repeat;
-//   4. if it does not fit, stop and run the scheduled batch in parallel.
+//      they touch — used, and repeat while nodes remain;
+//   4. if it does not fit, stop (p stays in the pool) and run the scheduled
+//      batch in parallel.
 // Sequential placement plus whole-rack retirement is what prevents layer-1
 // and layer-2 congestion between co-running benchmarks.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "core/env.hpp"
@@ -36,11 +38,13 @@ class CollectionScheduler {
  public:
   explicit CollectionScheduler(CollectionSchedulerConfig config = {});
 
-  /// Plans one batch. `ranked` lists pool indices in decreasing priority
-  /// (variance) order. Returns at least one item if the top point fits in
-  /// the allocation at all.
-  CollectionBatch plan(const std::vector<bench::BenchmarkPoint>& pool,
-                       const std::vector<std::size_t>& ranked, const simnet::Topology& topo,
+  /// Plans one batch. `pull` returns the pool index of the next pick; the
+  /// scheduler pulls while fewer than `max_items` are placed and a node is
+  /// still free, and stops at the first pick that does not fit. Returns at
+  /// least one item if `max_items` > 0 and the first pick fits the
+  /// allocation at all.
+  CollectionBatch plan(const std::vector<bench::BenchmarkPoint>& pool, std::size_t max_items,
+                       const std::function<std::size_t()>& pull, const simnet::Topology& topo,
                        const simnet::Allocation& alloc) const;
 
  private:

@@ -74,9 +74,6 @@ util::Json DecisionRecord::to_json() const {
     doc["pool_size"] = pool_size;
     doc["round"] = round;
     doc["nonp2"] = nonp2;
-    if (batch_size > 0) {
-      doc["batch_size"] = batch_size;
-    }
   }
   doc["tree_evals"] = tree_evals;
   return doc;
@@ -122,9 +119,6 @@ DecisionRecord DecisionRecord::from_json(const util::Json& doc) {
   }
   if (doc.contains("nonp2")) {
     rec.nonp2 = doc.at("nonp2").as_bool();
-  }
-  if (doc.contains("batch_size")) {
-    rec.batch_size = doc.at("batch_size").as_int();
   }
   if (doc.contains("tree_evals")) {
     rec.tree_evals = doc.at("tree_evals").as_int();
@@ -366,13 +360,11 @@ void render_explain(const ExplainReport& report, std::ostream& os, int max_decis
     }
     for (const auto& [coll, recs] : by_coll) {
       os << "\n=== acquisition trend: " << coll << " (" << recs.size() << " rounds) ===\n";
-      util::TablePrinter table({"round", "picked", "acq score", "variance", "pool", "batch",
-                                "nonp2"});
+      util::TablePrinter table({"round", "picked", "acq score", "variance", "pool", "nonp2"});
       for (std::size_t i : sample_indices(recs.size(), max_rows)) {
         const DecisionRecord& r = *recs[i];
         table.add_row({std::to_string(r.round), r.chosen, util::fixed(r.acq_score, 6),
                        util::fixed(r.variance, 6), std::to_string(r.pool_size),
-                       r.batch_size > 0 ? std::to_string(r.batch_size) : "1",
                        r.nonp2 ? "yes" : "no"});
       }
       table.print(os);

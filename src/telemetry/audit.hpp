@@ -98,7 +98,6 @@ struct DecisionRecord {
   std::int64_t pool_size = 0;  ///< acquisition candidate pool size (0 for selections)
   std::int64_t round = 0;      ///< acquisition round / pick ordinal within the run
   bool nonp2 = false;          ///< a non-P2 message-size swap was applied
-  std::int64_t batch_size = 0; ///< points collected by this round (parallel path)
 
   /// Virtual decision cost: decision-tree evaluations spent on this record.
   std::int64_t tree_evals = 0;

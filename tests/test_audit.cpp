@@ -74,7 +74,6 @@ DecisionRecord sample_acquisition(std::int64_t round) {
   rec.pool_size = 96;
   rec.round = round;
   rec.nonp2 = (round % 4) == 0;
-  rec.batch_size = round % 3 == 0 ? 4 : 0;
   rec.tree_evals = 4800;
   return rec;
 }
@@ -105,7 +104,6 @@ TEST_F(AuditTest, AcquisitionRecordJsonRoundTrip) {
   EXPECT_EQ(back.pool_size, rec.pool_size);
   EXPECT_EQ(back.round, rec.round);
   EXPECT_EQ(back.nonp2, rec.nonp2);
-  EXPECT_EQ(back.batch_size, rec.batch_size);
   EXPECT_EQ(back.tree_evals, rec.tree_evals);
 }
 

@@ -11,6 +11,7 @@
 #include "core/feature_space.hpp"
 #include "core/heuristic.hpp"
 #include "core/model.hpp"
+#include "telemetry/metrics.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
@@ -262,17 +263,25 @@ TEST_F(PolicyTest, AcclaimEveryFifthPickIsNonP2) {
   EXPECT_EQ(nonp2, 4);  // exactly the 80-20 split
 }
 
-TEST_F(PolicyTest, AcclaimRankOrdersByVariance) {
-  core::AcclaimAcquisition policy;
-  const auto order = policy.rank(model_, pool_);
-  ASSERT_EQ(order.size(), pool_.size());
-  for (std::size_t i = 1; i < order.size(); ++i) {
-    EXPECT_GE(model_.jackknife_variance(pool_[order[i - 1]]),
-              model_.jackknife_variance(pool_[order[i]]) - 1e-12);
+TEST_F(PolicyTest, RoundDrawsEveryEntryOnceFromOneSweep) {
+  // A round scores the pool once (one jackknife sweep), then draws without
+  // replacement until no candidate is left.
+  const telemetry::Histogram& sweeps =
+      telemetry::metrics().histogram("model.variance_sweep_ms", {0.01, 32});
+  for (const core::CollectiveModel& model : {model_, core::CollectiveModel(Collective::Bcast)}) {
+    core::AcclaimAcquisition policy;
+    const std::uint64_t before = sweeps.count();
+    policy.begin_round(model, pool_);
+    std::set<std::size_t> drawn;
+    for (std::size_t k = 0; k < pool_.size(); ++k) {
+      drawn.insert(policy.draw(rng_));
+    }
+    EXPECT_EQ(drawn.size(), pool_.size());
+    EXPECT_LT(*drawn.rbegin(), pool_.size());
+    EXPECT_THROW(policy.draw(rng_), InvalidArgument);
+    // An untrained model draws uniformly, without a sweep.
+    EXPECT_EQ(sweeps.count() - before, model.trained() ? 1u : 0u);
   }
-  // Untrained model cannot rank.
-  EXPECT_TRUE(core::AcclaimAcquisition().rank(core::CollectiveModel(Collective::Bcast), pool_)
-                  .empty());
 }
 
 TEST_F(PolicyTest, SurrogateLearnsFromObservations) {

@@ -5,6 +5,7 @@
 // DESIGN.md "Threading & determinism" and run under TSan in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -177,28 +178,6 @@ TEST(GoldenDeterminism, CollectiveModelVarianceSweepIdenticalAcrossThreads) {
   }
 }
 
-TEST(GoldenDeterminism, AcquisitionRankOrderIdenticalAcrossThreads) {
-  ThreadGuard guard;
-  const std::vector<core::LabeledPoint> data = synthetic_bcast_points();
-  std::vector<bench::BenchmarkPoint> pool;
-  for (const auto& lp : data) {
-    pool.push_back(lp.point);
-  }
-
-  util::set_global_threads(1);
-  core::CollectiveModel model(coll::Collective::Bcast);
-  model.fit(data, 77);
-  const core::AcclaimAcquisition policy;
-  const std::vector<std::size_t> ref_rank = policy.rank(model, pool);
-  ASSERT_EQ(ref_rank.size(), pool.size());
-
-  for (int threads : kThreadCounts) {
-    util::set_global_threads(threads);
-    const std::vector<std::size_t> rank = policy.rank(model, pool);
-    ASSERT_EQ(rank, ref_rank) << "threads=" << threads;
-  }
-}
-
 TEST(GoldenDeterminism, EmptyCandidateListStaysLegalUntrained) {
   ThreadGuard guard;
   util::set_global_threads(4);
@@ -257,12 +236,10 @@ std::string batch_fingerprint(int threads) {
   core::LiveEnvironment env(topo, alloc, /*job_seed=*/17);
 
   const std::vector<bench::BenchmarkPoint> pool = golden_pool();
-  std::vector<std::size_t> ranked(pool.size());
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    ranked[i] = i;
-  }
+  std::size_t next = 0;
   const core::CollectionScheduler scheduler;
-  const core::CollectionBatch batch = scheduler.plan(pool, ranked, topo, alloc);
+  const core::CollectionBatch batch =
+      scheduler.plan(pool, pool.size(), [&] { return next++; }, topo, alloc);
   const std::vector<bench::Measurement> ms = env.measure_scheduled(batch.items);
 
   std::ostringstream os;
@@ -276,6 +253,59 @@ std::string batch_fingerprint(int threads) {
   }
   os << "clock=" << hex_bits(env.clock_s());
   return os.str();
+}
+
+/// Byte-fingerprint of one multi-pick acquisition round on a multi-rack
+/// allocation: every pool index the scheduler pulled from the policy's
+/// weighted draws, where it placed each pick, and the points the policy
+/// accepted (non-P2 swap included).
+std::string round_fingerprint(int threads) {
+  util::set_global_threads(threads);
+  const std::vector<core::LabeledPoint> data = synthetic_bcast_points();
+  std::vector<bench::BenchmarkPoint> pool;
+  for (const auto& lp : data) {
+    if (lp.point.scenario.nnodes <= 4) {  // one rack each: the round packs many
+      pool.push_back(lp.point);
+    }
+  }
+  core::CollectiveModel model(coll::Collective::Bcast);
+  model.fit(data, 77);
+  const simnet::Topology topo(golden_machine());
+  std::vector<int> ids(32);
+  for (int i = 0; i < 32; ++i) {
+    ids[static_cast<std::size_t>(i)] = i;
+  }
+  const simnet::Allocation alloc(ids);
+  core::LiveEnvironment env(topo, alloc, /*job_seed=*/17);
+  core::AcclaimAcquisition policy;
+  util::Rng rng(3);
+
+  std::ostringstream os;
+  policy.begin_round(model, pool);
+  const core::CollectionBatch batch = core::CollectionScheduler().plan(
+      pool, pool.size(),
+      [&] {
+        const std::size_t i = policy.draw(rng);
+        os << i << ",";
+        return i;
+      },
+      topo, alloc);
+  os << "|";
+  for (std::size_t i = 0; i < batch.items.size(); ++i) {
+    os << policy.accept(batch.consumed[i], env, rng).to_string() << "@"
+       << batch.items[i].first_node << ";";
+  }
+  return os.str();
+}
+
+TEST(GoldenDeterminism, AcquisitionRoundPicksIdenticalAcrossThreads) {
+  ThreadGuard guard;
+  const std::string golden = round_fingerprint(1);
+  // The round places one pick per rack of the 8-rack allocation.
+  EXPECT_EQ(std::count(golden.begin(), golden.end(), '@'), 8);
+  for (int threads : kThreadCounts) {
+    EXPECT_EQ(round_fingerprint(threads), golden) << "threads=" << threads;
+  }
 }
 
 TEST(GoldenDeterminism, ScheduledBatchBitwiseIdenticalAcrossThreads) {

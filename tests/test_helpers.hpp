@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "benchdata/dataset.hpp"
@@ -49,6 +50,11 @@ inline const bench::Dataset& small_dataset() {
 
 inline core::FeatureSpace small_space() {
   return core::FeatureSpace::from_grid(small_p2_grid());
+}
+
+/// A CollectionScheduler pull that hands out pool indices 0, 1, 2, ...
+inline std::function<std::size_t()> pull_in_order() {
+  return [next = std::size_t{0}]() mutable { return next++; };
 }
 
 /// The trees RandomForest::fit(X, y, params, seed) fits — tree i on the i-th

@@ -11,6 +11,9 @@
 #include "core/baselines.hpp"
 #include "core/evaluator.hpp"
 #include "core/scheduler.hpp"
+#include "telemetry/audit.hpp"
+#include "telemetry/metrics.hpp"
+#include "telemetry/trace.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
@@ -38,14 +41,13 @@ TEST_F(SchedulerTest, PacksRackDisjointBenchmarks) {
   // Four 2-node benchmarks on a 16-node allocation with 4-node racks: each
   // placement retires its whole rack, so exactly 4 fit, one per rack.
   std::vector<BenchmarkPoint> pool(8, point_needing(2));
-  std::vector<std::size_t> ranked = {0, 1, 2, 3, 4, 5, 6, 7};
   std::vector<int> ids(16);
   for (int i = 0; i < 16; ++i) {
     ids[static_cast<std::size_t>(i)] = i;
   }
   const simnet::Allocation alloc(ids);
   const core::CollectionScheduler sched;
-  const auto batch = sched.plan(pool, ranked, topo_, alloc);
+  const auto batch = sched.plan(pool, pool.size(), testing_support::pull_in_order(), topo_, alloc);
   ASSERT_EQ(batch.items.size(), 4u);
   std::set<int> racks;
   for (const auto& item : batch.items) {
@@ -66,21 +68,20 @@ TEST_F(SchedulerTest, StopsAtFirstMisfit) {
   }
   const simnet::Allocation alloc(ids);
   const core::CollectionScheduler sched;
-  const auto batch = sched.plan(pool, {0, 1, 2}, topo_, alloc);
+  const auto batch = sched.plan(pool, pool.size(), testing_support::pull_in_order(), topo_, alloc);
   ASSERT_EQ(batch.items.size(), 1u);
   EXPECT_EQ(batch.consumed, (std::vector<std::size_t>{0}));
 }
 
 TEST_F(SchedulerTest, NaiveSchedulerPacksMoreButSharesRacks) {
   std::vector<BenchmarkPoint> pool(8, point_needing(2));
-  std::vector<std::size_t> ranked = {0, 1, 2, 3, 4, 5, 6, 7};
   std::vector<int> ids(16);
   for (int i = 0; i < 16; ++i) {
     ids[static_cast<std::size_t>(i)] = i;
   }
   const simnet::Allocation alloc(ids);
   const core::CollectionScheduler naive(core::CollectionSchedulerConfig{false});
-  const auto batch = naive.plan(pool, ranked, topo_, alloc);
+  const auto batch = naive.plan(pool, pool.size(), testing_support::pull_in_order(), topo_, alloc);
   EXPECT_EQ(batch.items.size(), 8u);  // 8 x 2 nodes fill all 16
   // Benchmarks 0 and 1 share rack 0 — the congestion hazard of §III-D.
   EXPECT_EQ(topo_.rack_of(alloc.node(batch.items[0].first_node)),
@@ -95,17 +96,45 @@ TEST_F(SchedulerTest, MaxParallelPlacementExposesMoreParallelism) {
   m.total_nodes = 32;  // 8 racks of 4, 4 pairs
   const simnet::Topology topo(m);
   std::vector<BenchmarkPoint> pool(6, point_needing(1));
-  std::vector<std::size_t> ranked = {0, 1, 2, 3, 4, 5};
   const core::CollectionScheduler sched;
-  const auto maxp =
-      sched.plan(pool, ranked, topo, simnet::fig13_placement(topo, "max-parallel", 4));
-  const auto single =
-      sched.plan(pool, ranked, topo, simnet::fig13_placement(topo, "single-rack", 4));
+  const auto maxp = sched.plan(pool, pool.size(), testing_support::pull_in_order(), topo,
+                               simnet::fig13_placement(topo, "max-parallel", 4));
+  const auto single = sched.plan(pool, pool.size(), testing_support::pull_in_order(), topo,
+                                 simnet::fig13_placement(topo, "single-rack", 4));
   EXPECT_EQ(maxp.items.size(), 4u);
   EXPECT_EQ(single.items.size(), 1u);
 }
 
 // ------------------------------------------------------------ active learner
+
+/// Forwards measurements to a LiveEnvironment but reports no topology, so the
+/// learner takes one pick per round on the same simulated machine.
+class NoTopology final : public core::TuningEnvironment {
+ public:
+  explicit NoTopology(core::LiveEnvironment& live) : live_(live) {}
+
+  bench::Measurement measure(const BenchmarkPoint& point) override {
+    const bench::Measurement m = live_.measure(point);
+    charge_s(m.collect_cost_s);
+    return m;
+  }
+  std::optional<std::uint64_t> nonp2_msg_near(std::uint64_t p2_anchor,
+                                              util::Rng& rng) override {
+    return live_.nonp2_msg_near(p2_anchor, rng);
+  }
+
+ private:
+  core::LiveEnvironment& live_;
+};
+
+/// Nodes [0, n) of the small test machine (4-node racks).
+simnet::Allocation first_nodes(int n) {
+  std::vector<int> ids(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    ids[static_cast<std::size_t>(i)] = i;
+  }
+  return simnet::Allocation(ids);
+}
 
 class LearnerTest : public testing::Test {
  protected:
@@ -254,28 +283,28 @@ TEST_F(LearnerTest, VarianceGuidedIsCompetitiveWithRandomAtEqualBudget) {
 }
 
 TEST_F(LearnerTest, ParallelCollectionReducesClockNotQuality) {
+  // Four racks: a round packs up to one benchmark per rack. The sequential
+  // arm runs on the same machine behind the no-topology wrapper.
   const simnet::Topology topo(testing_support::small_machine());
-  std::vector<int> ids(16);
-  for (int i = 0; i < 16; ++i) {
-    ids[static_cast<std::size_t>(i)] = i;
-  }
-  const simnet::Allocation alloc(ids);
+  const simnet::Allocation alloc = first_nodes(16);
 
   auto run = [&](bool parallel) {
-    core::LiveEnvironment env(topo, alloc, 9);
+    core::LiveEnvironment live(topo, alloc, 9);
+    NoTopology sequential(live);
     core::AcclaimAcquisition policy;
     core::ActiveLearnerConfig cfg = fast_config();
     cfg.max_points = 40;
     cfg.patience = 1 << 20;
-    cfg.parallel_collection = parallel;
+    core::TuningEnvironment& env = parallel ? static_cast<core::TuningEnvironment&>(live)
+                                            : sequential;
     core::ActiveLearner learner(Collective::Reduce, space_, env, policy, cfg);
     return learner.run();
   };
   const auto seq = run(false);
   const auto par = run(true);
+  // max_points is a hard cap for batched rounds too.
   EXPECT_EQ(seq.collected.size(), 40u);
-  // A parallel batch may overshoot the cap by up to one batch.
-  EXPECT_GE(par.collected.size(), 40u);
+  EXPECT_EQ(par.collected.size(), 40u);
   EXPECT_LT(par.train_time_s / static_cast<double>(par.collected.size()),
             seq.train_time_s / static_cast<double>(seq.collected.size()));
   // Parallel mode actually batched something.
@@ -284,6 +313,103 @@ TEST_F(LearnerTest, ParallelCollectionReducesClockNotQuality) {
     max_batch = std::max(max_batch, rec.batch_size);
   }
   EXPECT_GT(max_batch, 1);
+}
+
+TEST_F(LearnerTest, OneRackRoundsAreSequentialWeightedSampling) {
+  // A one-rack allocation has room for one benchmark per round, so the live
+  // path must collect what sequential weighted sampling collects on the
+  // same machine: the same points with bit-equal means and clock.
+  const simnet::Topology topo(testing_support::small_machine());
+  const simnet::Allocation alloc = first_nodes(4);
+  const core::FeatureSpace space({2, 4}, {1, 2, 4, 8}, {64, 512, 4096, 32768});
+
+  auto run = [&](bool bare) {
+    core::LiveEnvironment live(topo, alloc, 13);
+    NoTopology sequential(live);
+    core::AcclaimAcquisition policy;  // weighted sampling, non-P2 cadence 5
+    core::ActiveLearnerConfig cfg = fast_config();
+    cfg.max_points = 40;
+    cfg.patience = 1 << 20;
+    core::TuningEnvironment& env = bare ? static_cast<core::TuningEnvironment&>(live)
+                                        : sequential;
+    core::ActiveLearner learner(Collective::Allreduce, space, env, policy, cfg);
+    return learner.run();
+  };
+  const auto bare = run(true);
+  const auto seq = run(false);
+  ASSERT_EQ(bare.collected.size(), 40u);
+  ASSERT_EQ(seq.collected.size(), bare.collected.size());
+  for (std::size_t i = 0; i < bare.collected.size(); ++i) {
+    EXPECT_EQ(bare.collected[i].point, seq.collected[i].point) << "point " << i;
+    EXPECT_EQ(bare.collected[i].time_us, seq.collected[i].time_us) << "point " << i;
+  }
+  EXPECT_EQ(bare.train_time_s, seq.train_time_s);
+  for (const auto& rec : bare.history) {
+    EXPECT_EQ(rec.batch_size, 1);
+  }
+}
+
+TEST_F(LearnerTest, MisfitDrawStaysInThePoolAndLeavesNoTrace) {
+  // Three racks and 8-node benchmarks: after one placement a rack is still
+  // free, so every trained round draws a second pick that cannot fit.
+  const simnet::Topology topo(testing_support::small_machine());
+  const simnet::Allocation alloc = first_nodes(12);
+  const core::FeatureSpace space({8}, {1, 2, 4}, {64, 512, 4096, 32768});
+  const std::vector<BenchmarkPoint> candidates = space.candidates(Collective::Bcast);
+  core::LiveEnvironment env(topo, alloc, 3);
+  core::AcclaimAcquisition policy(core::AcclaimAcquisitionConfig{0});  // no non-P2 swaps
+  core::ActiveLearnerConfig cfg = fast_config();
+  cfg.patience = 1 << 20;  // collect the whole pool
+
+  const telemetry::Counter& picks = telemetry::metrics().counter("acquisition.picks");
+  const telemetry::Counter& offered =
+      telemetry::metrics().counter("scheduler.candidates_considered");
+  const std::uint64_t picks_before = picks.value();
+  const std::uint64_t offered_before = offered.value();
+  telemetry::tracer().enable_ring(1 << 16);
+  telemetry::audit().enable_ring(1 << 16);
+  core::ActiveLearner learner(Collective::Bcast, space, env, policy, cfg);
+  const core::TrainingResult result = learner.run();
+  const std::vector<telemetry::TraceEvent> trace = telemetry::tracer().ring_snapshot();
+  const std::vector<telemetry::DecisionRecord> audit = telemetry::audit().ring_snapshot();
+  telemetry::tracer().disable();
+  telemetry::audit().disable();
+
+  // Every candidate was collected exactly once: misfit draws stayed in the
+  // pool for a later round.
+  ASSERT_EQ(result.collected.size(), candidates.size());
+  std::set<BenchmarkPoint> collected;
+  for (const auto& lp : result.collected) {
+    collected.insert(lp.point);
+  }
+  EXPECT_EQ(collected, std::set<BenchmarkPoint>(candidates.begin(), candidates.end()));
+  for (const auto& rec : result.history) {
+    EXPECT_EQ(rec.batch_size, 1);
+  }
+  // The scheduler was offered more picks than it placed...
+  EXPECT_GT(offered.value() - offered_before, candidates.size());
+  // ...but only placed picks were counted and emitted.
+  EXPECT_EQ(picks.value() - picks_before, candidates.size());
+  const auto acquired = std::count_if(trace.begin(), trace.end(), [](const auto& ev) {
+    return ev.kind == telemetry::EventKind::PointAcquired;
+  });
+  EXPECT_EQ(static_cast<std::size_t>(acquired), candidates.size());
+  const auto records = std::count_if(audit.begin(), audit.end(), [](const auto& rec) {
+    return rec.kind == telemetry::DecisionKind::Acquisition;
+  });
+  EXPECT_EQ(static_cast<std::size_t>(records), candidates.size());
+}
+
+TEST_F(LearnerTest, PickLargerThanTheAllocationThrows) {
+  // An 8-node candidate cannot fit a 4-node allocation even when it is
+  // empty: the round fails instead of coming back empty forever.
+  const simnet::Topology topo(testing_support::small_machine());
+  const simnet::Allocation alloc = first_nodes(4);
+  const core::FeatureSpace space({8}, {1}, {64, 1024});
+  core::LiveEnvironment env(topo, alloc, 3);
+  core::AcclaimAcquisition policy;
+  core::ActiveLearner learner(Collective::Bcast, space, env, policy, fast_config());
+  EXPECT_THROW(learner.run(), InvalidArgument);
 }
 
 // ---------------------------------------------------------------- baselines

@@ -2,10 +2,14 @@
 // application) on a small simulated machine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/evaluator.hpp"
 #include "core/heuristic.hpp"
 #include "core/pipeline.hpp"
 #include "platform/app_model.hpp"
+#include "telemetry/audit.hpp"
+#include "telemetry/metrics.hpp"
 #include "telemetry/report.hpp"
 #include "telemetry/trace.hpp"
 #include "test_helpers.hpp"
@@ -24,12 +28,15 @@ core::ActiveLearnerConfig fast_learner() {
   return cfg;
 }
 
-/// The pipeline run plus the telemetry trace it emitted — the run happens
-/// once, with the tracer's in-memory ring active, so the telemetry tests
-/// see exactly the events of the run the functional tests assert on.
+/// The pipeline run plus the telemetry it emitted — the run happens once,
+/// with the tracer's and the audit log's in-memory rings active, so the
+/// telemetry tests see exactly the events of the run the functional tests
+/// assert on.
 struct PipelineArtifacts {
   core::PipelineResult result;
   std::vector<telemetry::TraceEvent> trace;
+  std::vector<telemetry::DecisionRecord> audit;
+  std::uint64_t picks = 0;  ///< acquisition.picks increments during the run
 };
 
 class PipelineTest : public testing::Test {
@@ -37,6 +44,9 @@ class PipelineTest : public testing::Test {
   static const PipelineArtifacts& artifacts() {
     static const PipelineArtifacts a = [] {
       telemetry::tracer().enable_ring(1 << 16);
+      telemetry::audit().enable_ring(1 << 16);
+      const telemetry::Counter& picks = telemetry::metrics().counter("acquisition.picks");
+      const std::uint64_t picks_before = picks.value();
       core::AcclaimPipeline pipeline(testing_support::small_machine(), fast_learner());
       core::JobSpec spec;
       spec.collectives = {Collective::Bcast, Collective::Allreduce};
@@ -46,9 +56,12 @@ class PipelineTest : public testing::Test {
       spec.max_msg = 64 * 1024;
       spec.job_seed = 5;
       spec.machine_busy_fraction = 0.2;
-      PipelineArtifacts out{pipeline.run(spec), {}};
+      PipelineArtifacts out{pipeline.run(spec), {}, {}, 0};
       out.trace = telemetry::tracer().ring_snapshot();
+      out.audit = telemetry::audit().ring_snapshot();
+      out.picks = picks.value() - picks_before;
       telemetry::tracer().disable();
+      telemetry::audit().disable();
       return out;
     }();
     return a;
@@ -75,6 +88,29 @@ TEST_F(PipelineTest, UsesParallelCollection) {
     max_batch = std::max(max_batch, t.max_batch);
   }
   EXPECT_GT(max_batch, 1);
+}
+
+TEST_F(PipelineTest, EmitsAndCountsEachCollectedPointOnce) {
+  // On a run that batches, every collected point is one point_acquired
+  // event, one Acquisition record and one acquisition.picks increment.
+  std::size_t points = 0;
+  int max_batch = 1;
+  for (const auto& t : result().training) {
+    points += t.points;
+    max_batch = std::max(max_batch, t.max_batch);
+  }
+  ASSERT_GT(max_batch, 1);
+  const auto& trace = artifacts().trace;
+  const auto& audit = artifacts().audit;
+  const auto events = std::count_if(trace.begin(), trace.end(), [](const auto& ev) {
+    return ev.kind == telemetry::EventKind::PointAcquired;
+  });
+  const auto records = std::count_if(audit.begin(), audit.end(), [](const auto& rec) {
+    return rec.kind == telemetry::DecisionKind::Acquisition;
+  });
+  EXPECT_EQ(static_cast<std::size_t>(events), points);
+  EXPECT_EQ(static_cast<std::size_t>(records), points);
+  EXPECT_EQ(artifacts().picks, points);
 }
 
 TEST_F(PipelineTest, ProducesValidConfigDocument) {

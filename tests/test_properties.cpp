@@ -301,15 +301,12 @@ TEST_F(ThreadStress, ScheduledBatchesDeterministicUnderRandomPoolsAndThreads) {
       p.algorithm = algorithms[meta.index(algorithms.size())];
       pool.push_back(p);
     }
-    std::vector<std::size_t> ranked(pool.size());
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      ranked[i] = i;
-    }
-
     const core::CollectionScheduler scheduler;
     auto run_once = [&]() {
       core::LiveEnvironment env(topo, alloc, job_seed);
-      const core::CollectionBatch batch = scheduler.plan(pool, ranked, topo, alloc);
+      std::size_t next = 0;
+      const core::CollectionBatch batch =
+          scheduler.plan(pool, pool.size(), [&] { return next++; }, topo, alloc);
       const auto ms = env.measure_scheduled(batch.items);
       return std::make_tuple(batch, ms, env.clock_s());
     };
