@@ -1,6 +1,7 @@
 #include "core/acquisition.hpp"
 
 #include <chrono>
+#include <numeric>
 
 #include "core/feature_space.hpp"
 #include "telemetry/audit.hpp"
@@ -19,9 +20,7 @@ void AcquisitionPolicy::begin_round(const CollectiveModel& model,
                                     const std::vector<bench::BenchmarkPoint>& pool) {
   pool_ = &pool;
   left_.resize(pool.size());
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    left_[i] = i;
-  }
+  std::iota(left_.begin(), left_.end(), std::size_t{0});
   var_.clear();
   sweep_evals_ = 0;
   // The candidate sweep (fixed-size blocks of pool entries through the
@@ -110,7 +109,7 @@ bench::BenchmarkPoint AcquisitionPolicy::accept(std::size_t pool_index, TuningEn
   }
   if (telemetry::audit().enabled()) {
     // This site sits on the learner's serial loop (det-audit-order): picks
-    // are accepted one by one after the round's scheduling, never inside a
+    // are accepted one by one as the scheduler places them, never inside a
     // parallel_for.
     const auto start = std::chrono::steady_clock::now();
     telemetry::DecisionRecord rec;
@@ -125,7 +124,7 @@ bench::BenchmarkPoint AcquisitionPolicy::accept(std::size_t pool_index, TuningEn
     if (!var_.empty()) {
       rec.variance = variance;
       rec.acq_score = variance;
-      // Runner-up: the highest-variance candidate the round left undrawn.
+      // Runner-up: the highest-variance candidate not drawn yet this round.
       if (!left_.empty()) {
         std::size_t second = left_.front();
         for (std::size_t i : left_) {

@@ -4,8 +4,8 @@
 // begin_round() scores the uncollected pool once, draw() hands out pool
 // entries not yet drawn this round from the learner's serial rng, and
 // accept() turns a draw the collection scheduler placed into the point to
-// benchmark. A draw the scheduler could not place is dropped: its candidate
-// stays in the pool for the next round.
+// benchmark, before the next draw. A draw the scheduler could not place is
+// dropped: its candidate stays in the pool for the next round.
 //
 //  * AcclaimAcquisition — the paper's contribution (§IV-A/§IV-B): jackknife
 //    variance on the *primary* model's own trees scores the pool; every

@@ -142,15 +142,14 @@ TrainingResult ActiveLearner::run() {
     CollectionBatch batch;
     if (topo != nullptr && alloc != nullptr) {
       const std::size_t room = result.model.trained() ? cap - result.collected.size() : 1;
-      batch = scheduler.plan(pool, room, [&] { return policy_.draw(rng); }, *topo, *alloc);
+      batch = scheduler.plan(
+          pool, room, [&] { return policy_.draw(rng); }, *topo, *alloc,
+          [&](std::size_t i) { return policy_.accept(i, env_, rng); });
       require(!batch.items.empty(), "acquisition pick needs more nodes than the allocation has");
     } else {
       const std::size_t i = policy_.draw(rng);
-      batch.items.push_back(ScheduledBenchmark{pool[i], 0});
+      batch.items.push_back(ScheduledBenchmark{policy_.accept(i, env_, rng), 0});
       batch.consumed.push_back(i);
-    }
-    for (std::size_t i = 0; i < batch.items.size(); ++i) {
-      batch.items[i].point = policy_.accept(batch.consumed[i], env_, rng);
     }
     const std::vector<bench::Measurement> measurements = env_.measure_scheduled(batch.items);
     for (std::size_t i = 0; i < batch.items.size(); ++i) {

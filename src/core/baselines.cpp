@@ -101,8 +101,8 @@ AcquisitionTrace trace_acquisition(coll::Collective c, const FeatureSpace& space
   AcquisitionTrace trace;
   trace.collective = c;
   trace.steps.reserve(result.collected.size());
-  // Costs are reconstructed per point from the history; with sequential
-  // collection each iteration adds exactly one point.
+  // Costs are reconstructed per point from the history: without a topology
+  // (every caller passes a DatasetEnvironment) each round adds one point.
   double cum = 0.0;
   std::size_t hist = 0;
   for (std::size_t i = 0; i < result.collected.size(); ++i) {

@@ -15,7 +15,9 @@ CollectionBatch CollectionScheduler::plan(const std::vector<bench::BenchmarkPoin
                                           std::size_t max_items,
                                           const std::function<std::size_t()>& pull,
                                           const simnet::Topology& topo,
-                                          const simnet::Allocation& alloc) const {
+                                          const simnet::Allocation& alloc,
+                                          const std::function<bench::BenchmarkPoint(std::size_t)>&
+                                              take) const {
   telemetry::ScopedTimer timer("scheduler.plan");
   CollectionBatch batch;
   // Nodes are consumed strictly left-to-right in allocation order, so the
@@ -30,7 +32,7 @@ CollectionBatch CollectionScheduler::plan(const std::vector<bench::BenchmarkPoin
     if (cursor + need > alloc.num_nodes()) {
       break;  // the paper's greedy stops at the first misfit
     }
-    batch.items.push_back(ScheduledBenchmark{pool[pri], cursor});
+    batch.items.push_back(ScheduledBenchmark{take ? take(pri) : pool[pri], cursor});
     batch.consumed.push_back(pri);
     cursor += need;
     if (config_.topology_aware) {

@@ -40,12 +40,14 @@ class CollectionScheduler {
 
   /// Plans one batch. `pull` returns the pool index of the next pick; the
   /// scheduler pulls while fewer than `max_items` are placed and a node is
-  /// still free, and stops at the first pick that does not fit. Returns at
-  /// least one item if `max_items` > 0 and the first pick fits the
-  /// allocation at all.
+  /// still free, and stops at the first pick that does not fit. `take`, if
+  /// given, returns the point to benchmark for each placed pick before the
+  /// next pull; otherwise a pick runs its pool entry. Returns at least one
+  /// item if `max_items` > 0 and the first pick fits the allocation at all.
   CollectionBatch plan(const std::vector<bench::BenchmarkPoint>& pool, std::size_t max_items,
                        const std::function<std::size_t()>& pull, const simnet::Topology& topo,
-                       const simnet::Allocation& alloc) const;
+                       const simnet::Allocation& alloc,
+                       const std::function<bench::BenchmarkPoint(std::size_t)>& take = {}) const;
 
  private:
   CollectionSchedulerConfig config_;

@@ -289,11 +289,10 @@ std::string round_fingerprint(int threads) {
         os << i << ",";
         return i;
       },
-      topo, alloc);
+      topo, alloc, [&](std::size_t i) { return policy.accept(i, env, rng); });
   os << "|";
-  for (std::size_t i = 0; i < batch.items.size(); ++i) {
-    os << policy.accept(batch.consumed[i], env, rng).to_string() << "@"
-       << batch.items[i].first_node << ";";
+  for (const core::ScheduledBenchmark& item : batch.items) {
+    os << item.point.to_string() << "@" << item.first_node << ";";
   }
   return os.str();
 }

@@ -304,9 +304,8 @@ TEST_F(ThreadStress, ScheduledBatchesDeterministicUnderRandomPoolsAndThreads) {
     const core::CollectionScheduler scheduler;
     auto run_once = [&]() {
       core::LiveEnvironment env(topo, alloc, job_seed);
-      std::size_t next = 0;
       const core::CollectionBatch batch =
-          scheduler.plan(pool, pool.size(), [&] { return next++; }, topo, alloc);
+          scheduler.plan(pool, pool.size(), testing_support::pull_in_order(), topo, alloc);
       const auto ms = env.measure_scheduled(batch.items);
       return std::make_tuple(batch, ms, env.clock_s());
     };
