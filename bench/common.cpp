@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <utility>
 
 #include "telemetry/audit.hpp"
 #include "telemetry/metrics.hpp"
@@ -161,7 +162,8 @@ void banner(const std::string& figure, const std::string& claim) {
             << "==============================================================\n";
 }
 
-BenchEnv::BenchEnv(int& argc, char** argv) : start_(std::chrono::steady_clock::now()) {
+BenchEnv::BenchEnv(int& argc, char** argv, std::string figure)
+    : figure_(std::move(figure)), start_(std::chrono::steady_clock::now()) {
   int threads = 0;
   int out = 1;  // argv[0] always survives
   for (int i = 1; i < argc; ++i) {
@@ -187,6 +189,10 @@ BenchEnv::BenchEnv(int& argc, char** argv) : start_(std::chrono::steady_clock::n
     }
   }
   argc = out;
+  if (!json_out_dir_.empty() && figure_.empty()) {
+    std::cerr << "error: flag '--json-out' is not supported: this bench writes no result rows\n";
+    std::exit(2);
+  }
   if (threads > 0) {
     util::set_global_threads(threads);
   }
@@ -196,8 +202,6 @@ BenchEnv::BenchEnv(int& argc, char** argv) : start_(std::chrono::steady_clock::n
   }
   std::cerr << "[bench] compute threads: " << util::global_threads() << "\n";
 }
-
-void BenchEnv::set_figure(const std::string& id) { figure_ = id; }
 
 void BenchEnv::add_row(util::Json row) {
   if (json_out_dir_.empty()) {
@@ -229,10 +233,6 @@ BenchEnv::~BenchEnv() {
   // Never let artifact writing turn a passing figure into a failing one —
   // report and continue (the destructor also must not throw).
   try {
-    if (figure_.empty()) {
-      std::cerr << "[bench] --json-out ignored: harness never called set_figure()\n";
-      return;
-    }
     std::filesystem::create_directories(json_out_dir_);
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();

@@ -83,20 +83,20 @@ void banner(const std::string& figure, const std::string& claim);
 ///   --json-out DIR      write DIR/BENCH_<figure>.json on exit: figure id,
 ///                       the key result rows the harness registered with
 ///                       add_row(), and the host-wall runtime — the
-///                       machine-readable artifact CI tracks across PRs
+///                       machine-readable artifact CI tracks across PRs.
+///                       Only a harness constructed with a figure id writes
+///                       rows; any other exits 2 at start-up when given it
 /// Recognized flags (and their values) are consumed from argc/argv so
 /// figure-specific positional arguments (--ablation, --naive) keep working.
 /// The destructor publishes thread-pool stats and writes the snapshots.
 class BenchEnv {
  public:
-  BenchEnv(int& argc, char** argv);
+  /// `figure` names the BENCH_<figure>.json artifact (e.g. "fig12"); empty
+  /// for a harness that registers no rows.
+  BenchEnv(int& argc, char** argv, std::string figure = {});
   ~BenchEnv();
   BenchEnv(const BenchEnv&) = delete;
   BenchEnv& operator=(const BenchEnv&) = delete;
-
-  /// Names the BENCH_<figure>.json artifact (e.g. "fig12"). Call once,
-  /// before the destructor runs; without it --json-out is an error.
-  void set_figure(const std::string& id);
 
   /// Registers one machine-readable result row (a flat JSON object mirroring
   /// what the figure prints/CSVs). Cheap no-op when --json-out is off.

@@ -78,8 +78,7 @@ MethodResult run_method(coll::Collective c, PolicyFactory make_policy,
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchharness::BenchEnv bench_env(argc, argv);
-  bench_env.set_figure("fig10");
+  benchharness::BenchEnv bench_env(argc, argv, "fig10");
   const bool ablation = argc > 1 && std::strcmp(argv[1], "--ablation") == 0;
   benchharness::banner("Fig. 10: ACCLAiM vs FACT training point selection",
                        "Expectation: ACCLAiM converges faster cumulatively (~2.25x in the paper),"

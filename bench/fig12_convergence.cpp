@@ -15,8 +15,7 @@ using namespace acclaim;
 using benchharness::bebop_dataset;
 
 int main(int argc, char** argv) {
-  benchharness::BenchEnv bench_env(argc, argv);
-  bench_env.set_figure("fig12");
+  benchharness::BenchEnv bench_env(argc, argv, "fig12");
   benchharness::banner("Fig. 12: variance convergence vs slowdown convergence",
                        "Expectation: variance stops near the slowdown point with low final slowdown");
 

@@ -64,8 +64,7 @@ std::pair<double, double> training_band() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchharness::BenchEnv bench_env(argc, argv);
-  bench_env.set_figure("fig15");
+  benchharness::BenchEnv bench_env(argc, argv, "fig15");
   benchharness::banner("Fig. 15: minimum application runtime for overall acceleration",
                        "Expectation: ~1.01x speedup needs a few hours; >=1.05x well under an hour");
 

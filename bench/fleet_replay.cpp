@@ -79,8 +79,7 @@ util::Json arm_row(const std::string& arm, const fleet::FleetResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchharness::BenchEnv bench_env(argc, argv);
-  bench_env.set_figure("fleet");
+  benchharness::BenchEnv bench_env(argc, argv, "fleet");
 
   std::string value;
   int jobs = 1000;

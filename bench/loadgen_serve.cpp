@@ -116,8 +116,7 @@ ScenarioKey key_of(const bench::Scenario& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchharness::BenchEnv env(argc, argv);
-  env.set_figure("serve");
+  benchharness::BenchEnv env(argc, argv, "serve");
   const std::uint64_t total_queries = flag_u64(argc, argv, "--queries", 1'200'000);
   const std::size_t batch = static_cast<std::size_t>(flag_u64(argc, argv, "--batch", 64));
   const double trace_frac = flag_double(argc, argv, "--trace-frac", 0.5);

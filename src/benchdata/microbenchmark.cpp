@@ -1,11 +1,11 @@
 #include "benchdata/microbenchmark.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "minimpi/cost_executor.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/profiler.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
 
@@ -67,7 +67,7 @@ Measurement Microbenchmark::run_with_load(const BenchmarkPoint& point,
                                           const minimpi::FlowMap& rack_flows,
                                           const minimpi::FlowMap& pair_flows,
                                           util::Rng& rng) const {
-  const auto host_start = std::chrono::steady_clock::now();
+  const telemetry::Span span("microbench.run");
   const double base_us = run_schedule_us(net_, point, alloc, rack_flows, pair_flows);
   const int iters = config_.timed_iterations(point.scenario.msg_bytes, base_us);
   const int warmup = static_cast<int>(std::ceil(config_.warmup_fraction * iters));
@@ -97,9 +97,7 @@ Measurement Microbenchmark::run_with_load(const BenchmarkPoint& point,
   runs.add();
   modeled.add(run_us);
   latency.observe(base_us);
-  host_wall.observe(
-      std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - host_start)
-          .count());
+  host_wall.observe(span.elapsed_us());
   return m;
 }
 

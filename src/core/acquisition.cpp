@@ -1,11 +1,11 @@
 #include "core/acquisition.hpp"
 
-#include <chrono>
 #include <numeric>
 
 #include "core/feature_space.hpp"
 #include "telemetry/audit.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/profiler.hpp"
 #include "telemetry/trace.hpp"
 #include "util/error.hpp"
 
@@ -111,7 +111,7 @@ bench::BenchmarkPoint AcquisitionPolicy::accept(std::size_t pool_index, TuningEn
     // This site sits on the learner's serial loop (det-audit-order): picks
     // are accepted one by one as the scheduler places them, never inside a
     // parallel_for.
-    const auto start = std::chrono::steady_clock::now();
+    const telemetry::Span span("audit.decision");
     telemetry::DecisionRecord rec;
     rec.kind = telemetry::DecisionKind::Acquisition;
     rec.source = "policy";
@@ -145,9 +145,7 @@ bench::BenchmarkPoint AcquisitionPolicy::accept(std::size_t pool_index, TuningEn
     rec.round = static_cast<std::int64_t>(picks_);
     rec.nonp2 = swapped;
     telemetry::audit().record(std::move(rec));
-    telemetry::observe_decision_cost(
-        std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start)
-            .count());
+    telemetry::observe_decision_cost(span.elapsed_ns());
   }
   return point;
 }

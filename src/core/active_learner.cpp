@@ -42,7 +42,7 @@ void ActiveLearner::set_warm_start(WarmStart warm) {
 }
 
 TrainingResult ActiveLearner::run() {
-  telemetry::ScopedTimer timer("learner.run");
+  const telemetry::Span span("learner.run");
   if (config_.threads > 0) {
     util::set_global_threads(config_.threads);
   }

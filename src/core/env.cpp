@@ -1,10 +1,10 @@
 #include "core/env.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <set>
 
 #include "telemetry/metrics.hpp"
+#include "telemetry/profiler.hpp"
 #include "telemetry/trace.hpp"
 #include "util/error.hpp"
 
@@ -165,13 +165,11 @@ std::vector<bench::Measurement> LiveEnvironment::measure_scheduled(
   double batch_wall_ms = 0.0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const ScheduledBenchmark& item = batch[i];
-    const auto start = std::chrono::steady_clock::now();
+    const telemetry::Span span("env.measure");
     util::Rng rng = util::Rng::stream(noise_seed_, measure_seq_++);
     const simnet::Allocation sub = alloc_.slice(item.first_node, item.point.scenario.nnodes);
     out.push_back(mb_.run_with_load(item.point, sub, rack_flows[i], pair_flows[i], rng));
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-            .count();
+    const double wall_ms = span.elapsed_ms();
     batch_wall_ms += wall_ms;
     makespan_s = std::max(makespan_s, out.back().collect_cost_s);
     note_benchmark("live-parallel", item.point, out.back(), static_cast<int>(i), wall_ms);

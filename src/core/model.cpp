@@ -1,12 +1,12 @@
 #include "core/model.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
 
 #include "telemetry/metrics.hpp"
+#include "telemetry/profiler.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -81,7 +81,7 @@ std::vector<double> CollectiveModel::jackknife_variances(
     return {};
   }
   require(trained(), "model not trained");
-  const auto start = std::chrono::steady_clock::now();
+  const telemetry::Span span("model.variance_sweep");
   std::vector<double> out(points.size(), 0.0);
   const std::size_t n_blocks = (points.size() + kJackknifeBlock - 1) / kJackknifeBlock;
   util::global_pool().parallel_for(0, n_blocks, [&](std::size_t b) {
@@ -97,9 +97,7 @@ std::vector<double> CollectiveModel::jackknife_variances(
   });
   static telemetry::Histogram& sweep_ms =
       telemetry::metrics().histogram("model.variance_sweep_ms", {0.01, 32});
-  sweep_ms.observe(
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-          .count());
+  sweep_ms.observe(span.elapsed_ms());
   return out;
 }
 

@@ -19,7 +19,7 @@ AcclaimPipeline::AcclaimPipeline(simnet::MachineConfig machine, ActiveLearnerCon
 PipelineResult AcclaimPipeline::run(const JobSpec& spec) const { return run(spec, {}); }
 
 PipelineResult AcclaimPipeline::run(const JobSpec& spec, const WarmStartMap& warm) const {
-  telemetry::ScopedTimer timer("pipeline.run");
+  const telemetry::Span run_span("pipeline.run");
   require(!spec.collectives.empty(), "job must name at least one collective to tune");
   require(spec.nnodes >= 2 && spec.ppn >= 1, "job needs at least 2 nodes and 1 ppn");
   require(spec.min_msg >= 1 && spec.min_msg <= spec.max_msg, "bad message-size range");
@@ -59,8 +59,7 @@ PipelineResult AcclaimPipeline::run(const JobSpec& spec, const WarmStartMap& war
     if (const auto it = warm.find(c); it != warm.end()) {
       learner.set_warm_start(it->second);
     }
-    telemetry::ScopedTimer coll_timer(coll::collective_name(c));
-    telemetry::ScopedPhase phase(std::string("train:") + coll::collective_name(c));
+    const telemetry::Span coll_span(coll::collective_name(c));
     const double before_s = env.clock_s();
     TrainingResult tr = learner.run();
 
@@ -76,18 +75,25 @@ PipelineResult AcclaimPipeline::run(const JobSpec& spec, const WarmStartMap& war
     }
     result.training.push_back(summary);
     result.trained.push_back(TrainedCollective{tr.model, std::move(tr.collected)});
-    // The report's phase-timing table runs on the simulated collection
-    // clock (the quantity the paper's Fig. 14/15 amortization argument is
-    // about), so attach it alongside the wall time ScopedPhase records.
-    phase.annotate("sim_s", summary.train_time_s);
-    phase.annotate("threads", util::global_threads());
-    phase.annotate("points", summary.points);
-    phase.annotate("iterations", summary.iterations);
-    phase.annotate("converged", summary.converged);
-    phase.annotate("max_batch", summary.max_batch);
 
     const RuleGenerator gen(rulegen_);
     tables.push_back(gen.generate(tr.model, space));
+    if (telemetry::tracer().enabled()) {
+      // The report's phase-timing table runs on the simulated collection
+      // clock (the quantity the paper's Fig. 14/15 amortization argument is
+      // about), so `sim_s` rides alongside the collective span's wall time.
+      telemetry::TraceEvent ev;
+      ev.kind = telemetry::EventKind::Phase;
+      ev.label = std::string("train:") + coll::collective_name(c);
+      ev.fields["wall_ms"] = coll_span.elapsed_ms();
+      ev.fields["sim_s"] = summary.train_time_s;
+      ev.fields["threads"] = util::global_threads();
+      ev.fields["points"] = summary.points;
+      ev.fields["iterations"] = summary.iterations;
+      ev.fields["converged"] = summary.converged;
+      ev.fields["max_batch"] = summary.max_batch;
+      telemetry::tracer().record(std::move(ev));
+    }
   }
   result.total_training_s = env.clock_s();
   result.config = rules_to_json(tables);

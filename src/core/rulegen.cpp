@@ -1,6 +1,5 @@
 #include "core/rulegen.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -95,7 +94,7 @@ void RuleTable::validate() const {
 RuleTable RuleGenerator::generate(const CollectiveModel& model, const FeatureSpace& space,
                                   RuleGeneratorStats* stats) const {
   require(model.trained(), "rule generation requires a trained model");
-  telemetry::ScopedTimer timer("rulegen.generate");
+  const telemetry::Span generate_span("rulegen.generate");
   const coll::Collective c = model.collective();
   RuleTable table(c);
   RuleGeneratorStats local;
@@ -108,7 +107,7 @@ RuleTable RuleGenerator::generate(const CollectiveModel& model, const FeatureSpa
     if (!telemetry::audit().enabled()) {
       return model.select(s);
     }
-    const auto start = std::chrono::steady_clock::now();
+    const telemetry::Span span("audit.decision");
     const SelectionExplanation ex = model.explain(s);
     telemetry::DecisionRecord rec = selection_record(ex);
     rec.collective = coll::collective_name(s.collective);
@@ -116,9 +115,7 @@ RuleTable RuleGenerator::generate(const CollectiveModel& model, const FeatureSpa
     rec.ppn = s.ppn;
     rec.msg_bytes = s.msg_bytes;
     telemetry::audit().record(std::move(rec));
-    telemetry::observe_decision_cost(
-        std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start)
-            .count());
+    telemetry::observe_decision_cost(span.elapsed_ns());
     return ex.chosen;
   };
   // Default guard (see RuleGeneratorConfig): revert a cell to the MPICH
@@ -297,7 +294,7 @@ coll::Algorithm SelectionEngine::select(const bench::Scenario& s) const {
     // Rule lookups have no candidate scores (the table already collapsed
     // them); the record still captures what was asked and what was served —
     // the runtime-selection half of the flight recorder.
-    const auto start = std::chrono::steady_clock::now();
+    const telemetry::Span span("audit.decision");
     telemetry::DecisionRecord rec;
     rec.kind = telemetry::DecisionKind::Selection;
     rec.source = "rules";
@@ -307,9 +304,7 @@ coll::Algorithm SelectionEngine::select(const bench::Scenario& s) const {
     rec.msg_bytes = s.msg_bytes;
     rec.chosen = coll::algorithm_info(alg).name;
     telemetry::audit().record(std::move(rec));
-    telemetry::observe_decision_cost(
-        std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start)
-            .count());
+    telemetry::observe_decision_cost(span.elapsed_ns());
   }
   return alg;
 }

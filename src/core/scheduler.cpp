@@ -18,7 +18,7 @@ CollectionBatch CollectionScheduler::plan(const std::vector<bench::BenchmarkPoin
                                           const simnet::Allocation& alloc,
                                           const std::function<bench::BenchmarkPoint(std::size_t)>&
                                               take) const {
-  telemetry::ScopedTimer timer("scheduler.plan");
+  const telemetry::Span span("scheduler.plan");
   CollectionBatch batch;
   // Nodes are consumed strictly left-to-right in allocation order, so the
   // used region is always a prefix and `cursor` fully describes it.

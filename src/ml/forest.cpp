@@ -1,7 +1,6 @@
 #include "ml/forest.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "telemetry/metrics.hpp"
@@ -15,8 +14,7 @@ void RandomForest::fit(const std::vector<FeatureRow>& X, const std::vector<doubl
                        const ForestParams& params, std::uint64_t seed) {
   require(params.n_trees >= 1, "forest requires at least one tree");
   require(!X.empty() && X.size() == y.size(), "forest requires non-empty, aligned X/y");
-  telemetry::ScopedTimer timer("forest.fit");
-  const auto start = std::chrono::steady_clock::now();
+  const telemetry::Span span("forest.fit");
   std::vector<DecisionTree> trees(static_cast<std::size_t>(params.n_trees));
   // One independent stream per tree, derived from the run seed *before* the
   // parallel region. Tree i always sees the i-th derived seed, so the forest
@@ -46,9 +44,7 @@ void RandomForest::fit(const std::vector<FeatureRow>& X, const std::vector<doubl
   static telemetry::Histogram& fit_ms =
       telemetry::metrics().histogram("ml.forest.fit_ms", {0.01, 32});
   fits.add();
-  fit_ms.observe(std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                           start)
-                     .count());
+  fit_ms.observe(span.elapsed_ms());
 }
 
 RandomForest RandomForest::from_trees(const std::vector<DecisionTree>& trees) {

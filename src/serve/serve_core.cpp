@@ -1,17 +1,25 @@
 #include "serve/serve_core.hpp"
 
-#include <chrono>
 #include <map>
 
 #include "telemetry/metrics.hpp"
+#include "telemetry/profiler.hpp"
 #include "util/error.hpp"
 
 namespace acclaim::serve {
 
+namespace {
+
+constexpr int kStoreShards = 8;
+constexpr int kCacheShards = 8;
+/// Miss groups at or above this size route through CollectiveModel::
+/// select_batch (parallel fused kernel); smaller ones run the scalar path.
+constexpr std::size_t kBatchThreshold = 4;
+
+}  // namespace
+
 ServeCore::ServeCore(ServeConfig cfg)
-    : cfg_(cfg),
-      store_(cfg.store_shards),
-      cache_(cfg.cache_capacity, cfg.cache_shards) {}
+    : store_(kStoreShards), cache_(cfg.cache_capacity, kCacheShards) {}
 
 std::uint64_t ServeCore::publish(const ModelKey& key, core::CollectiveModel model) {
   static telemetry::Counter& published = telemetry::metrics().counter("serve.models_published");
@@ -34,7 +42,7 @@ Decision ServeCore::select(const bench::Scenario& s, const std::string& topology
   static telemetry::Histogram& query_us =
       telemetry::metrics().histogram("serve.query_us", {1e-3, 48});
   static telemetry::Counter& queries = telemetry::metrics().counter("serve.queries");
-  const auto start = std::chrono::steady_clock::now();
+  const telemetry::Span span("serve.select");
   const auto snap = resolve_or_throw(s, topology);
   Decision d;
   d.version = snap->version;
@@ -47,9 +55,7 @@ Decision ServeCore::select(const bench::Scenario& s, const std::string& topology
     cache_.put(key, d.algorithm);
   }
   queries.add();
-  query_us.observe(
-      std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - start)
-          .count());
+  query_us.observe(span.elapsed_us());
   return d;
 }
 
@@ -63,7 +69,7 @@ std::vector<Decision> ServeCore::select_batch(const std::vector<bench::Scenario>
   if (scenarios.empty()) {
     return {};
   }
-  const auto start = std::chrono::steady_clock::now();
+  const telemetry::Span span("serve.select_batch");
   std::vector<Decision> out(scenarios.size());
 
   // Pass 1: resolve snapshots and probe the cache. Misses are grouped per
@@ -95,7 +101,7 @@ std::vector<Decision> ServeCore::select_batch(const std::vector<bench::Scenario>
   // for bit (core/model.hpp), so routing by size is purely a throughput
   // decision.
   for (auto& [version, group] : misses) {
-    if (group.scenarios.size() >= cfg_.batch_threshold) {
+    if (group.scenarios.size() >= kBatchThreshold) {
       const std::vector<coll::Algorithm> algs = group.snap->model.select_batch(group.scenarios);
       for (std::size_t j = 0; j < group.indices.size(); ++j) {
         out[group.indices[j]].algorithm = algs[j];
@@ -112,9 +118,7 @@ std::vector<Decision> ServeCore::select_batch(const std::vector<bench::Scenario>
 
   queries.add(scenarios.size());
   batch_size.observe(static_cast<double>(scenarios.size()));
-  batch_us.observe(
-      std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - start)
-          .count());
+  batch_us.observe(span.elapsed_us());
   return out;
 }
 

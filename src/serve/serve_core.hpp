@@ -33,14 +33,7 @@
 namespace acclaim::serve {
 
 struct ServeConfig {
-  int store_shards = 8;
-  int cache_shards = 8;
   std::size_t cache_capacity = 1 << 16;
-  /// Batches at or above this size route through CollectiveModel::
-  /// select_batch (parallel fused kernel); smaller remainders run the
-  /// scalar path. Both produce identical bits, so this is purely a
-  /// throughput knob.
-  std::size_t batch_threshold = 4;
 };
 
 /// One answered query.
@@ -79,7 +72,6 @@ class ServeCore {
   std::shared_ptr<const ModelSnapshot> resolve_or_throw(const bench::Scenario& s,
                                                         const std::string& topology) const;
 
-  ServeConfig cfg_;
   ModelStore store_;
   DecisionCache cache_;
 };

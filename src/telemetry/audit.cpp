@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -131,90 +130,8 @@ AuditLog& AuditLog::global() {
   return log;
 }
 
-void AuditLog::enable_ring(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_on_ = true;
-  capacity_ = std::max<std::size_t>(1, capacity);
-  ring_.clear();
-  ring_.reserve(std::min<std::size_t>(capacity_, 1024));
-  next_ = 0;
-  dropped_ = 0;
-  enabled_.store(true, std::memory_order_relaxed);
-}
-
-void AuditLog::open_stream(const std::string& path) {
-  std::lock_guard<std::mutex> lock(mu_);
-  stream_.close();
-  stream_.clear();
-  stream_.open(path, std::ios::trunc);
-  if (!stream_) {
-    throw IoError("cannot open audit log for writing: " + path);
-  }
-  enabled_.store(true, std::memory_order_relaxed);
-}
-
-void AuditLog::close_stream() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (stream_.is_open()) {
-    stream_.flush();
-    stream_.close();
-  }
-  enabled_.store(ring_on_, std::memory_order_relaxed);
-}
-
-void AuditLog::disable() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (stream_.is_open()) {
-    stream_.flush();
-    stream_.close();
-  }
-  ring_on_ = false;
-  ring_.clear();
-  next_ = 0;
-  dropped_ = 0;
-  seq_ = 0;
-  enabled_.store(false, std::memory_order_relaxed);
-}
-
 void AuditLog::record(DecisionRecord rec) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!enabled_.load(std::memory_order_relaxed)) {
-    return;
-  }
-  rec.seq = seq_++;
-  if (stream_.is_open()) {
-    stream_ << rec.to_json().dump() << '\n';
-  }
-  if (ring_on_) {
-    if (ring_.size() < capacity_) {
-      ring_.push_back(std::move(rec));
-    } else {
-      ring_[next_] = std::move(rec);
-      next_ = (next_ + 1) % capacity_;
-      ++dropped_;
-    }
-  }
-}
-
-std::vector<DecisionRecord> AuditLog::ring_snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<DecisionRecord> out;
-  out.reserve(ring_.size());
-  // `next_` is the oldest slot once the ring has wrapped.
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(next_ + i) % ring_.size()]);
-  }
-  return out;
-}
-
-std::uint64_t AuditLog::ring_dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
-
-std::uint64_t AuditLog::recorded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return seq_;
+  deliver(std::move(rec), [](DecisionRecord& r, std::uint64_t n) { r.seq = n; });
 }
 
 void observe_decision_cost(double wall_ns) {
@@ -225,24 +142,9 @@ void observe_decision_cost(double wall_ns) {
 }
 
 std::vector<DecisionRecord> read_audit_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw IoError("cannot open audit log: " + path);
-  }
   std::vector<DecisionRecord> out;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) {
-      continue;
-    }
-    try {
-      out.push_back(DecisionRecord::from_json(util::Json::parse(line)));
-    } catch (const Error& e) {
-      throw ParseError(path + ":" + std::to_string(lineno) + ": " + e.what(), lineno, 1);
-    }
-  }
+  read_json_lines(path,
+                  [&](const util::Json& doc) { out.push_back(DecisionRecord::from_json(doc)); });
   return out;
 }
 

@@ -9,11 +9,12 @@
 // decision itself cost. The aggregate counters and trace spans in
 // metrics/trace answer "how much"; this module answers "why".
 //
-// Like the Tracer, recording is off by default — a single relaxed atomic
-// load gates every emission site — and can be turned on two ways,
-// independently: enable_ring(n) keeps the last n records in memory,
-// open_stream(path) appends each record as one compact JSON object per line
-// (JSON-lines, the format `acclaim explain` consumes).
+// The audit log and the Tracer share one RecordSink (telemetry/sink.hpp):
+// recording is off by default — a single relaxed atomic load gates every
+// emission site — and can be turned on two ways, independently:
+// enable_ring(n) keeps the last n records in memory, open_stream(path)
+// appends each record as one compact JSON object per line (JSON-lines, the
+// format `acclaim explain` consumes).
 //
 // Determinism contract: a DecisionRecord carries NO wall-clock data — its
 // fields are pure functions of the seeded computation, and emission sites
@@ -28,14 +29,12 @@
 // axes — not core types; core fills them in.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <fstream>
 #include <iosfwd>
-#include <mutex>
 #include <string>
 #include <vector>
 
+#include "telemetry/sink.hpp"
 #include "util/json.hpp"
 
 namespace acclaim::telemetry {
@@ -109,49 +108,17 @@ struct DecisionRecord {
   static DecisionRecord from_json(const util::Json& doc);
 };
 
-/// Process-wide sink for DecisionRecords. Mirrors the Tracer's lifecycle:
-/// disabled by default, ring and/or JSONL stream destinations.
-class AuditLog {
+/// Process-wide sink for DecisionRecords: a RecordSink that stamps each
+/// record's `seq` (its ordinal since the last disable()) as it delivers it.
+class AuditLog : public RecordSink<DecisionRecord> {
  public:
   static AuditLog& global();
-
-  /// Emission sites must check this before building a record so the
-  /// disabled path stays a single relaxed load.
-  bool enabled() const noexcept { return enabled_.load(std::memory_order_relaxed); }
-
-  /// Keeps the most recent `capacity` records in memory.
-  void enable_ring(std::size_t capacity = 1 << 16);
-  /// Streams every subsequent record as one JSON line; truncates `path`.
-  /// Throws IoError if the file cannot be opened.
-  void open_stream(const std::string& path);
-  /// Flushes and closes the stream sink (ring recording, if on, continues).
-  void close_stream();
-  /// Stops recording entirely, discards the ring, and resets the sequence
-  /// counter (so two identically-seeded runs produce identical logs).
-  void disable();
 
   /// Assigns the record's seq and delivers it to the active destinations.
   void record(DecisionRecord rec);
 
-  /// Ring contents, oldest first. Empty when the ring is off.
-  std::vector<DecisionRecord> ring_snapshot() const;
-  /// Records evicted from the ring since enable_ring.
-  std::uint64_t ring_dropped() const;
-  /// Total records recorded since construction / the last disable().
-  std::uint64_t recorded() const;
-
  private:
-  AuditLog() = default;
-
-  mutable std::mutex mu_;
-  std::atomic<bool> enabled_{false};
-  bool ring_on_ = false;
-  std::size_t capacity_ = 0;
-  std::vector<DecisionRecord> ring_;  ///< circular once full
-  std::size_t next_ = 0;
-  std::uint64_t dropped_ = 0;
-  std::uint64_t seq_ = 0;
-  std::ofstream stream_;
+  AuditLog() : RecordSink("audit") {}
 };
 
 /// Shorthand for AuditLog::global().
@@ -164,7 +131,8 @@ inline AuditLog& audit() { return AuditLog::global(); }
 void observe_decision_cost(double wall_ns);
 
 /// Parses a JSON-lines audit file (blank lines skipped). Throws IoError on
-/// unreadable paths, ParseError/InvalidArgument on malformed lines.
+/// unreadable paths and a ParseError naming `path:line` on a malformed line
+/// (read_json_lines).
 std::vector<DecisionRecord> read_audit_file(const std::string& path);
 
 // ---------------------------------------------------------------------------

@@ -31,11 +31,6 @@ void Profiler::disable() {
   enabled_.store(false, std::memory_order_relaxed);
 }
 
-void Profiler::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  nodes_.clear();
-}
-
 void Profiler::record(const std::string& path, std::uint64_t wall_ns) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!enabled_.load(std::memory_order_relaxed)) {
@@ -90,19 +85,18 @@ void Profiler::write_folded(const std::string& path) const {
   }
 }
 
-ScopedTimer::ScopedTimer(const char* label) : active_(profiler().enabled()) {
-  if (!active_) {
-    return;
+Span::Span(const char* label) : active_(profiler().enabled()) {
+  if (active_) {
+    restore_len_ = t_path.size();
+    if (!t_path.empty()) {
+      t_path += ';';
+    }
+    t_path += label;
   }
-  restore_len_ = t_path.size();
-  if (!t_path.empty()) {
-    t_path += ';';
-  }
-  t_path += label;
   start_ = std::chrono::steady_clock::now();
 }
 
-ScopedTimer::~ScopedTimer() {
+Span::~Span() {
   if (!active_) {
     return;
   }

@@ -1,19 +1,21 @@
-// Lightweight self-profiler: scoped-timer attribution tree.
+// Span, the one way library code times a scope, and the self-profiler's
+// attribution tree.
 //
-// Instrumented code brackets interesting work with ScopedTimer("label");
-// nested timers on the same thread form an attribution path ("tune-job;
-// train:bcast;forest.fit"). The profiler aggregates wall time and hit counts
-// per path and exports:
+// Instrumented code brackets interesting work with Span("label"); sites
+// that keep a histogram read the span's elapsed time once the work is done.
+// While the profiler is on, nested spans on the same thread form an
+// attribution path ("pipeline.run;bcast;learner.run;forest.fit"). The
+// profiler aggregates wall time and hit counts per path and exports:
 //  * folded stacks ("a;b;c <self_us>" lines) consumable by flamegraph.pl /
 //    speedscope — the standard "where did the time go" artifact;
 //  * via telemetry::prometheus_text (metrics.hpp), the registry in the
 //    Prometheus text format, which `acclaim train|tune-job --prom-out FILE`
 //    writes.
 //
-// Disabled by default: every ScopedTimer constructor is gated on one relaxed
-// atomic load, so instrumentation sites cost ~1 ns when profiling is off.
-// Host-wall attribution is observability-only — it never feeds back into the
-// deterministic computation (the audit log and models never see it).
+// Disabled by default: a span then costs one relaxed atomic load and one
+// steady-clock read. Host-wall attribution is observability-only — it never
+// feeds back into the deterministic computation (the audit log and models
+// never see it).
 #pragma once
 
 #include <atomic>
@@ -33,8 +35,6 @@ class Profiler {
   void enable();
   /// Stops recording and clears all accumulated attribution.
   void disable();
-  /// Clears accumulated attribution, keeps the enabled state.
-  void reset();
 
   struct Node {
     std::uint64_t count = 0;
@@ -66,20 +66,33 @@ class Profiler {
 /// Shorthand for Profiler::global().
 inline Profiler& profiler() { return Profiler::global(); }
 
-/// RAII attribution scope. Pushes `label` onto the calling thread's path
-/// stack for the duration of the scope; the destructor records the elapsed
-/// wall time under the full path. No-op (one relaxed load) when the profiler
-/// is disabled at construction time.
-class ScopedTimer {
+/// RAII timing scope. Reads the steady clock at construction; elapsed_*()
+/// give the wall time since then. When the profiler is enabled at
+/// construction, the span also pushes `label` onto the calling thread's
+/// attribution path, and its destructor, also when the scope is left by an
+/// exception, records the inclusive wall time under the full path and pops
+/// the label.
+class Span {
  public:
-  explicit ScopedTimer(const char* label);
-  ~ScopedTimer();
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
+  explicit Span(const char* label);
+  ~Span();
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
 
+  /// True when the span joined the profiler's attribution path.
   bool active() const noexcept { return active_; }
 
+  double elapsed_ms() const noexcept { return elapsed<std::milli>(); }
+  double elapsed_us() const noexcept { return elapsed<std::micro>(); }
+  double elapsed_ns() const noexcept { return elapsed<std::nano>(); }
+
  private:
+  template <class Period>
+  double elapsed() const noexcept {
+    return std::chrono::duration<double, Period>(std::chrono::steady_clock::now() - start_)
+        .count();
+  }
+
   bool active_;
   std::size_t restore_len_ = 0;  ///< thread-local path length to restore
   std::chrono::steady_clock::time_point start_;

@@ -1,6 +1,5 @@
 #include "telemetry/trace.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/error.hpp"
@@ -66,137 +65,29 @@ TraceEvent TraceEvent::from_json(const util::Json& doc) {
   return ev;
 }
 
-Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {}
+Tracer::Tracer() : RecordSink("trace"), epoch_(std::chrono::steady_clock::now()) {}
 
 Tracer& Tracer::global() {
   static Tracer t;
   return t;
 }
 
-void Tracer::enable_ring(std::size_t capacity) {
-  std::lock_guard lock(mu_);
-  require(capacity >= 1, "trace ring capacity must be >= 1");
-  ring_on_ = true;
-  capacity_ = capacity;
-  ring_.clear();
-  ring_.reserve(std::min<std::size_t>(capacity, 4096));
-  next_ = 0;
-  dropped_ = 0;
-  enabled_.store(true, std::memory_order_relaxed);
-}
-
-void Tracer::open_stream(const std::string& path) {
-  std::lock_guard lock(mu_);
-  stream_.close();
-  stream_.clear();
-  stream_.open(path, std::ios::out | std::ios::trunc);
-  if (!stream_) {
-    throw IoError("cannot open trace stream '" + path + "' for writing");
-  }
-  enabled_.store(true, std::memory_order_relaxed);
-}
-
-void Tracer::close_stream() {
-  std::lock_guard lock(mu_);
-  stream_.close();
-  enabled_.store(ring_on_, std::memory_order_relaxed);
-}
-
-void Tracer::disable() {
-  std::lock_guard lock(mu_);
-  enabled_.store(false, std::memory_order_relaxed);
-  ring_on_ = false;
-  ring_.clear();
-  next_ = 0;
-  dropped_ = 0;
-  recorded_ = 0;
-  stream_.close();
-}
-
 void Tracer::record(TraceEvent ev) {
-  if (!enabled()) {
-    return;
-  }
-  const auto now = std::chrono::steady_clock::now();
-  std::lock_guard lock(mu_);
-  if (!ring_on_ && !stream_.is_open()) {
-    return;  // raced with disable()/close_stream()
-  }
-  ev.t_wall_ms = std::chrono::duration<double, std::milli>(now - epoch_).count();
-  ++recorded_;
-  if (stream_.is_open()) {
-    stream_ << ev.to_json().dump(0) << '\n';
-  }
-  if (ring_on_) {
-    if (ring_.size() < capacity_) {
-      ring_.push_back(std::move(ev));
-    } else {
-      ring_[next_] = std::move(ev);
-      next_ = (next_ + 1) % capacity_;
-      ++dropped_;
-    }
-  }
-}
-
-std::vector<TraceEvent> Tracer::ring_snapshot() const {
-  std::lock_guard lock(mu_);
-  std::vector<TraceEvent> out;
-  out.reserve(ring_.size());
-  // Oldest first: when the ring wrapped, next_ points at the oldest entry.
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(next_ + i) % ring_.size()]);
-  }
-  return out;
-}
-
-std::uint64_t Tracer::ring_dropped() const {
-  std::lock_guard lock(mu_);
-  return dropped_;
-}
-
-std::uint64_t Tracer::recorded() const {
-  std::lock_guard lock(mu_);
-  return recorded_;
-}
-
-ScopedPhase::ScopedPhase(std::string label, Tracer& tracer)
-    : tracer_(tracer), active_(tracer.enabled()), start_(std::chrono::steady_clock::now()) {
-  ev_.kind = EventKind::Phase;
-  ev_.label = std::move(label);
-}
-
-ScopedPhase::~ScopedPhase() {
-  if (!active_) {
-    return;
-  }
-  const auto elapsed = std::chrono::steady_clock::now() - start_;
-  ev_.fields["wall_ms"] = std::chrono::duration<double, std::milli>(elapsed).count();
-  tracer_.record(std::move(ev_));
-}
-
-void ScopedPhase::annotate(const std::string& key, util::Json value) {
-  if (active_) {
-    ev_.fields[key] = std::move(value);
-  }
+  deliver(std::move(ev), [this](TraceEvent& e, std::uint64_t) {
+    e.t_wall_ms =
+        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - epoch_)
+            .count();
+  });
 }
 
 std::vector<TraceEvent> read_trace_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw IoError("cannot open trace file '" + path + "'");
-  }
   std::vector<TraceEvent> events;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) {
-      continue;
+  read_json_lines(path, [&](const util::Json& doc) {
+    // Forward compatibility: skip kinds this build does not know.
+    if (parse_event_kind(doc.at("event").as_string()).has_value()) {
+      events.push_back(TraceEvent::from_json(doc));
     }
-    const util::Json doc = util::Json::parse(line);
-    if (!parse_event_kind(doc.at("event").as_string()).has_value()) {
-      continue;  // forward compatibility: skip unknown kinds
-    }
-    events.push_back(TraceEvent::from_json(doc));
-  }
+  });
   return events;
 }
 

@@ -4,7 +4,7 @@
 // acquisition pick, scheduled batch, benchmark run, model refit,
 // convergence check, and pipeline phase) into the process-wide Tracer.
 // Recording is off by default — a single relaxed atomic load gates every
-// site — and can be turned on two ways, independently:
+// site — and can be turned on two ways, independently (telemetry/sink.hpp):
 //  * enable_ring(n): keep the last n events in memory (tests, the report
 //    builder after an in-process run);
 //  * open_stream(path): append every event as one compact JSON object per
@@ -14,15 +14,12 @@
 // documented per event kind in DESIGN.md ("Observability").
 #pragma once
 
-#include <atomic>
 #include <chrono>
-#include <cstdint>
-#include <fstream>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "telemetry/sink.hpp"
 #include "util/json.hpp"
 
 namespace acclaim::telemetry {
@@ -59,79 +56,27 @@ struct TraceEvent {
   static TraceEvent from_json(const util::Json& doc);
 };
 
-class Tracer {
+/// The process-wide event sink: a RecordSink that stamps each event's
+/// `t_ms` (wall-clock milliseconds since the tracer epoch) as it delivers it.
+class Tracer : public RecordSink<TraceEvent> {
  public:
   /// The process-wide tracer all instrumented library code records into.
   static Tracer& global();
 
-  /// True when at least one destination (ring or stream) is active.
-  /// Instrument sites must check this before building an event so the
-  /// disabled path stays a single relaxed load.
-  bool enabled() const noexcept { return enabled_.load(std::memory_order_relaxed); }
-
-  /// Keeps the most recent `capacity` events in memory.
-  void enable_ring(std::size_t capacity = 1 << 16);
-  /// Streams every subsequent event as one JSON line; truncates `path`.
-  /// Throws IoError if the file cannot be opened.
-  void open_stream(const std::string& path);
-  /// Flushes and closes the stream sink (ring recording, if on, continues).
-  void close_stream();
-  /// Stops recording entirely and discards the ring contents.
-  void disable();
-
   void record(TraceEvent ev);
-
-  /// Ring contents, oldest first. Empty when the ring is off.
-  std::vector<TraceEvent> ring_snapshot() const;
-  /// Events evicted from the ring since enable_ring (0 when none dropped —
-  /// reports use this to flag truncated trajectories).
-  std::uint64_t ring_dropped() const;
-  /// Total events recorded (ring + stream) since construction/disable().
-  std::uint64_t recorded() const;
 
  private:
   Tracer();
 
-  mutable std::mutex mu_;
-  std::atomic<bool> enabled_{false};
-  bool ring_on_ = false;
-  std::size_t capacity_ = 0;
-  std::vector<TraceEvent> ring_;  ///< circular once full
-  std::size_t next_ = 0;          ///< ring write position
-  std::uint64_t dropped_ = 0;
-  std::uint64_t recorded_ = 0;
-  std::ofstream stream_;
   std::chrono::steady_clock::time_point epoch_;
 };
 
 /// Shorthand for Tracer::global().
 inline Tracer& tracer() { return Tracer::global(); }
 
-/// RAII wall-clock timer: emits a Phase event with a `wall_ms` field when
-/// destroyed. Extra fields (e.g. the simulated-clock duration, which the
-/// run report prefers) can be attached before the scope closes. No-op when
-/// the tracer is disabled at construction time.
-class ScopedPhase {
- public:
-  explicit ScopedPhase(std::string label, Tracer& tracer = Tracer::global());
-  ~ScopedPhase();
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
-  bool active() const noexcept { return active_; }
-  /// Attaches a field to the eventual Phase event.
-  void annotate(const std::string& key, util::Json value);
-
- private:
-  Tracer& tracer_;
-  bool active_;
-  TraceEvent ev_;
-  std::chrono::steady_clock::time_point start_;
-};
-
 /// Parses a JSON-lines trace file (blank lines skipped, events of unknown
-/// kind skipped). Throws IoError on unreadable paths, ParseError on
-/// malformed lines.
+/// kind skipped). Throws IoError on unreadable paths and a ParseError naming
+/// `path:line` on a malformed line (read_json_lines).
 std::vector<TraceEvent> read_trace_file(const std::string& path);
 
 }  // namespace acclaim::telemetry

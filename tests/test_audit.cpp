@@ -3,10 +3,12 @@
 // selection/acquisition paths in core.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "benchdata/point.hpp"
@@ -145,6 +147,13 @@ TEST_F(AuditTest, RingKeepsMostRecentAndCountsDrops) {
   EXPECT_EQ(ring[2].seq, 4u);
 }
 
+// Regression: the audit ring turned a capacity of 0 into a one-slot ring
+// while the trace ring rejected it.
+TEST_F(AuditTest, RingRejectsZeroCapacity) {
+  EXPECT_THROW(telemetry::audit().enable_ring(0), InvalidArgument);
+  EXPECT_FALSE(telemetry::audit().enabled());
+}
+
 TEST_F(AuditTest, DisableResetsSequenceForReproducibleRuns) {
   telemetry::audit().enable_ring(8);
   telemetry::audit().record(sample_selection());
@@ -172,6 +181,36 @@ TEST_F(AuditTest, StreamWritesJsonLinesAndReadsBack) {
   EXPECT_EQ(back[1].seq, 1u);
   EXPECT_EQ(back[1].kind, DecisionKind::Acquisition);
   EXPECT_EQ(back[1].round, 1);
+}
+
+// The sink stamps seq and writes the line under one lock, so records from
+// concurrent emitters reach the stream in seq order with no gap or repeat.
+TEST_F(AuditTest, ConcurrentRecordsStreamInSequenceOrder) {
+  const std::string path = temp_path("audit_concurrent.jsonl");
+  telemetry::audit().open_stream(path);
+  telemetry::audit().enable_ring(16);
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 250;
+  std::vector<std::thread> emitters;
+  for (int t = 0; t < kThreads; ++t) {
+    emitters.emplace_back([t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        telemetry::audit().record(sample_acquisition(t * kPerThread + i));
+      }
+    });
+  }
+  for (std::thread& e : emitters) {
+    e.join();
+  }
+  EXPECT_EQ(telemetry::audit().recorded(), std::uint64_t{kThreads * kPerThread});
+  EXPECT_EQ(telemetry::audit().ring_dropped(), std::uint64_t{kThreads * kPerThread - 16});
+  telemetry::audit().close_stream();
+  const std::vector<DecisionRecord> back = telemetry::read_audit_file(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(back.size(), std::size_t{kThreads * kPerThread});
+  for (std::size_t i = 0; i < back.size(); ++i) {
+    EXPECT_EQ(back[i].seq, i);
+  }
 }
 
 TEST_F(AuditTest, ReadAuditFileErrors) {

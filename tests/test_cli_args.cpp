@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdio>
 
 #include "../bench/common.hpp"
 #include "../tools/cli_args.hpp"
@@ -123,6 +124,25 @@ TEST(CliArgs, ThreadsFlagAcceptsOnlyTheThreadRange) {
   EXPECT_EQ(parse({}, {"threads"}).get_threads("threads"), 0);  // absent: pool default
 }
 
+// Regression: `acclaim serve --cache-capacity -1` was cast to a cache that
+// never evicts, and 0 silently became an 8-entry cache.
+TEST(CliArgs, CountFlagAcceptsOnlyPositiveIntegers) {
+  for (const char* bad : {"-1", "0", "abc", "4x", "", "99999999999"}) {
+    const Args args = parse({"--cache-capacity", bad}, {"cache-capacity"});
+    try {
+      args.get_count("cache-capacity", 8);
+      FAIL() << "expected InvalidArgument for --cache-capacity " << bad;
+    } catch (const acclaim::InvalidArgument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("--cache-capacity"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("'" + std::string(bad) + "'"), std::string::npos) << msg;
+    }
+  }
+  EXPECT_EQ(parse({"--cache-capacity", "1"}, {"cache-capacity"}).get_count("cache-capacity", 8),
+            1u);
+  EXPECT_EQ(parse({}, {"cache-capacity"}).get_count("cache-capacity", 8), 8u);  // absent
+}
+
 /// Runs the figure benches' flag parsing over `tokens` (argv[0] first).
 int bench_env_threads(std::vector<std::string> tokens) {
   std::vector<char*> argv;
@@ -144,6 +164,34 @@ TEST(BenchEnvDeathTest, RejectsThreadCountsOutsideTheThreadRange) {
                 "--threads.*'" + std::string(bad) + "'")
         << "--threads " << bad;
   }
+}
+
+// Regression: a bench that registers no rows ran to the end and then
+// printed "--json-out ignored".
+TEST(BenchEnvDeathTest, RejectsJsonOutWithoutAFigure) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(bench_env_threads({"fig", "--json-out", testing::TempDir()}),
+              ::testing::ExitedWithCode(2), "--json-out");
+}
+
+TEST(BenchEnv, FigureBenchWritesItsJsonOut) {
+  std::vector<std::string> tokens = {"fig", "--json-out", testing::TempDir()};
+  std::vector<char*> argv;
+  for (auto& t : tokens) {
+    argv.push_back(t.data());
+  }
+  int argc = static_cast<int>(argv.size());
+  const std::string path = testing::TempDir() + "/BENCH_unit.json";
+  std::remove(path.c_str());
+  {
+    acclaim::benchharness::BenchEnv env(argc, argv.data(), "unit");
+    EXPECT_EQ(argc, 1) << "BenchEnv must consume --json-out and its value";
+    env.add_row(acclaim::util::Json::object());
+  }
+  const acclaim::util::Json doc = acclaim::util::Json::parse_file(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(doc.at("figure").as_string(), "unit");
+  EXPECT_EQ(doc.at("rows").as_array().size(), 1u);
 }
 
 TEST(BenchEnv, AcceptsThreadCountsInRange) {

@@ -113,6 +113,29 @@ TEST_F(PipelineTest, EmitsAndCountsEachCollectedPointOnce) {
   EXPECT_EQ(artifacts().picks, points);
 }
 
+TEST_F(PipelineTest, RecordsOnePhaseEventPerCollective) {
+  std::vector<telemetry::TraceEvent> phases;
+  for (const telemetry::TraceEvent& ev : artifacts().trace) {
+    if (ev.kind == telemetry::EventKind::Phase) {
+      phases.push_back(ev);
+    }
+  }
+  const auto& training = result().training;
+  ASSERT_EQ(phases.size(), training.size());
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    const telemetry::TraceEvent& ev = phases[i];
+    const core::CollectiveTrainingSummary& t = training[i];
+    EXPECT_EQ(ev.label, std::string("train:") + coll::collective_name(t.collective));
+    EXPECT_GE(ev.fields.at("wall_ms").as_number(), 0.0);
+    EXPECT_DOUBLE_EQ(ev.fields.at("sim_s").as_number(), t.train_time_s);
+    EXPECT_EQ(ev.fields.at("points").as_int(), static_cast<std::int64_t>(t.points));
+    EXPECT_EQ(ev.fields.at("iterations").as_int(), t.iterations);
+    EXPECT_EQ(ev.fields.at("converged").as_bool(), t.converged);
+    EXPECT_EQ(ev.fields.at("max_batch").as_int(), t.max_batch);
+    EXPECT_GE(ev.fields.at("threads").as_int(), 1);
+  }
+}
+
 TEST_F(PipelineTest, ProducesValidConfigDocument) {
   const auto& r = result();
   // The document parses, covers exactly the requested collectives, and

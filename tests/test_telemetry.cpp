@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "telemetry/metrics.hpp"
@@ -333,30 +335,28 @@ TEST_F(TelemetryTest, ReaderSkipsBlankLinesAndUnknownKinds) {
   EXPECT_THROW(telemetry::read_trace_file(temp_path("no_such_trace.jsonl")), IoError);
 }
 
-TEST_F(TelemetryTest, ScopedPhaseEmitsWallTimeAndAnnotations) {
-  telemetry::Tracer& tr = telemetry::tracer();
-  tr.enable_ring(16);
+// Regression: only the audit reader named the file and line of a bad record;
+// the trace reader reported a bare JSON error at "line 1".
+TEST_F(TelemetryTest, ReaderNamesPathAndLineOfABadRecord) {
+  const std::string path = temp_path("trace_bad.jsonl");
   {
-    telemetry::ScopedPhase phase("train:bcast");
-    EXPECT_TRUE(phase.active());
-    phase.annotate("sim_s", 12.5);
-    phase.annotate("points", 40);
+    std::ofstream out(path);
+    out << R"({"event":"model_refit","t_ms":1.0,"label":"bcast"})" << "\n"
+        << "{not json\n";
   }
-  const auto snap = tr.ring_snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].kind, EventKind::Phase);
-  EXPECT_EQ(snap[0].label, "train:bcast");
-  EXPECT_TRUE(snap[0].fields.contains("wall_ms"));
-  EXPECT_GE(snap[0].fields.at("wall_ms").as_number(), 0.0);
-  EXPECT_DOUBLE_EQ(snap[0].fields.at("sim_s").as_number(), 12.5);
-  EXPECT_EQ(snap[0].fields.at("points").as_int(), 40);
+  try {
+    telemetry::read_trace_file(path);
+    std::remove(path.c_str());
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    std::remove(path.c_str());
+    EXPECT_NE(std::string(e.what()).find(path + ":2:"), std::string::npos) << e.what();
+  }
 }
 
-TEST_F(TelemetryTest, ScopedPhaseIsInertWhenTracerDisabled) {
-  telemetry::ScopedPhase phase("idle");
-  EXPECT_FALSE(phase.active());
-  phase.annotate("sim_s", 1.0);  // must not crash
-  EXPECT_EQ(telemetry::tracer().recorded(), 0u);
+TEST_F(TelemetryTest, RingRejectsZeroCapacity) {
+  EXPECT_THROW(telemetry::tracer().enable_ring(0), InvalidArgument);
+  EXPECT_FALSE(telemetry::tracer().enabled());
 }
 
 // --- run reports on a synthetic trace ------------------------------------
@@ -601,13 +601,13 @@ TEST_F(TelemetryTest, PrometheusTextExposesAllInstrumentKinds) {
 
 // --- self-profiler ----------------------------------------------------------
 
-TEST_F(TelemetryTest, ScopedTimerBuildsNestedAttributionPaths) {
+TEST_F(TelemetryTest, SpanBuildsNestedAttributionPaths) {
   telemetry::profiler().disable();
   telemetry::profiler().enable();
   {
-    telemetry::ScopedTimer outer("outer");
+    const telemetry::Span outer("outer");
     EXPECT_TRUE(outer.active());
-    telemetry::ScopedTimer inner("inner");
+    const telemetry::Span inner("inner");
     EXPECT_TRUE(inner.active());
   }
   const auto snap = telemetry::profiler().snapshot();
@@ -620,11 +620,36 @@ TEST_F(TelemetryTest, ScopedTimerBuildsNestedAttributionPaths) {
   EXPECT_GE(snap.at("outer").total_ns, snap.at("outer;inner").total_ns);
 }
 
-TEST_F(TelemetryTest, ScopedTimerIsInertWhenProfilerDisabled) {
+TEST_F(TelemetryTest, SpanIsInertWhenProfilerDisabled) {
   telemetry::profiler().disable();
-  telemetry::ScopedTimer t("idle");
+  const telemetry::Span t("idle");
   EXPECT_FALSE(t.active());
   EXPECT_TRUE(telemetry::profiler().snapshot().empty());
+}
+
+TEST_F(TelemetryTest, SpanLeftByAnExceptionRestoresTheThreadPath) {
+  telemetry::profiler().disable();
+  telemetry::profiler().enable();
+  try {
+    const telemetry::Span failing("failing");
+    throw InvalidArgument("scope fails");
+  } catch (const InvalidArgument&) {
+  }
+  { const telemetry::Span next("next"); }
+  const auto snap = telemetry::profiler().snapshot();
+  telemetry::profiler().disable();
+  EXPECT_EQ(snap.count("failing"), 1u);
+  EXPECT_EQ(snap.count("next"), 1u);
+  EXPECT_EQ(snap.count("failing;next"), 0u);
+}
+
+TEST_F(TelemetryTest, SpanElapsedTimesUseTheirUnits) {
+  const telemetry::Span span("clock");
+  // sleep_for blocks for at least its duration on the steady clock.
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_GE(span.elapsed_ms(), 2.0);
+  EXPECT_GE(span.elapsed_us(), 2e3);
+  EXPECT_GE(span.elapsed_ns(), 2e6);
 }
 
 TEST_F(TelemetryTest, FoldedStacksExportSelfTimeMinusChildren) {

@@ -444,11 +444,9 @@ std::uint64_t publish_model_file(serve::ServeCore& core, const std::string& path
 }
 
 int cmd_serve(const cli::Args& args) {
-  open_telemetry(args);
   serve::ServeConfig cfg;
-  cfg.store_shards = args.get_int("store-shards", 8);
-  cfg.cache_shards = args.get_int("cache-shards", 8);
-  cfg.cache_capacity = static_cast<std::size_t>(args.get_int("cache-capacity", 1 << 16));
+  cfg.cache_capacity = args.get_count("cache-capacity", cfg.cache_capacity);
+  open_telemetry(args);
   serve::ServeCore core(cfg);
   const int nodes = args.get_int("nodes", 0);
   const int ppn = args.get_int("ppn", 0);
@@ -588,7 +586,7 @@ commands:
   serve         run the acclaimd model-serving daemon (NDJSON protocol)
                   [--model FILE[,FILE...]] [--socket PATH]  (default: stdin/stdout)
                   [--nodes N --ppn P] [--topology T]        (publish key; 0 = any scale)
-                  [--cache-capacity N] [--store-shards N] [--cache-shards N]
+                  [--cache-capacity N]
                   [--threads N] [--metrics-out FILE.json] [--prom-out FILE.prom]
   query         ask a daemon (--socket) or a model file directly (--model)
                   --socket PATH | --model FILE
@@ -699,9 +697,8 @@ int main(int argc, char** argv) {
     if (cmd == "serve") {
       return cmd_serve(cli::Args(argc - 2, argv + 2,
                                  {"model", "socket", "nodes", "ppn", "topology",
-                                  "store-shards", "cache-shards", "cache-capacity",
-                                  "threads", "trace-out", "metrics-out", "chrome-out",
-                                  "audit-out", "profile-out", "prom-out"}));
+                                  "cache-capacity", "threads", "trace-out", "metrics-out",
+                                  "chrome-out", "audit-out", "profile-out", "prom-out"}));
     }
     if (cmd == "query") {
       return cmd_query(cli::Args(argc - 2, argv + 2,

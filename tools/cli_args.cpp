@@ -93,6 +93,18 @@ int Args::get_int(const std::string& flag, int fallback) const {
   return has(flag) ? parse_int_value(flag, values_.at(flag)) : fallback;
 }
 
+std::size_t Args::get_count(const std::string& flag, std::size_t fallback) const {
+  if (!has(flag)) {
+    return fallback;
+  }
+  const std::string& value = values_.at(flag);
+  const int n = parse_int_value(flag, value);
+  if (n < 1) {
+    bad_value(flag, value, "an integer >= 1");
+  }
+  return static_cast<std::size_t>(n);
+}
+
 int Args::get_threads(const std::string& flag) const {
   if (!has(flag)) {
     return 0;

@@ -1,6 +1,7 @@
 // Minimal flag parser for the acclaim CLI.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -21,6 +22,9 @@ class Args {
   /// Throws InvalidArgument naming the flag if absent.
   std::string require_flag(const std::string& flag) const;
   int get_int(const std::string& flag, int fallback) const;
+  /// A positive count: `fallback` if absent, else an integer >= 1; anything
+  /// else throws InvalidArgument naming the flag and value.
+  std::size_t get_count(const std::string& flag, std::size_t fallback) const;
   /// A thread count: 0 (the pool's default) if absent, else an integer in
   /// [1, util::kMaxThreads]; anything else throws InvalidArgument naming
   /// the flag and value.
