@@ -183,8 +183,8 @@ int main(int argc, char** argv) {
         distinct.push_back(request.back());
       }
     }
-    // Every 8th iteration goes through the scalar path so serve.query_us
-    // fills alongside serve.batch_us.
+    // Every 8th iteration asks its queries one at a time through select()
+    // so serve.query_us fills alongside serve.batch_us.
     if (iteration % 8 == 0) {
       for (const bench::Scenario& s : request) {
         core.select(s);

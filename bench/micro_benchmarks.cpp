@@ -126,9 +126,9 @@ void BM_ForestPredictTrees(benchmark::State& state) {
   ml::RandomForest f;
   f.fit(fx.X, fx.y, params, 7);
   const ml::FeatureRow probe{3.0, 2.0, 10.0, 1.0};
-  std::vector<double> out;
+  std::vector<double> out(f.n_trees());
   for (auto _ : state) {
-    f.predict_trees(probe, out);
+    f.predict_trees_batch(&probe, 1, out.data());
     benchmark::DoNotOptimize(out.data());
   }
 }

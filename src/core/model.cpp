@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <memory>
 
 #include "telemetry/metrics.hpp"
@@ -57,13 +56,6 @@ double CollectiveModel::predict_us(const bench::BenchmarkPoint& point) const {
   return std::exp(predict_log_us(point));
 }
 
-double CollectiveModel::jackknife_variance(const bench::BenchmarkPoint& point) const {
-  require(trained(), "model not trained");
-  thread_local std::vector<double> preds;
-  forest_->predict_trees(encode_point(point), preds);
-  return ml::jackknife_variance(preds);
-}
-
 namespace {
 
 /// Rows per fused predict+jackknife kernel call. Fixed (never derived from
@@ -72,6 +64,10 @@ namespace {
 /// 16 rows x 100 trees of doubles is a 12.5 KiB scratch block: deep in L1,
 /// and enough rows for the tree-major walk to amortize its arena scans.
 constexpr std::size_t kJackknifeBlock = 16;
+
+/// Scenarios per select_batch chunk. A miss group of four or fewer is one
+/// chunk, so it runs on the calling thread instead of waking the pool.
+constexpr std::size_t kSelectGrain = 4;
 
 }  // namespace
 
@@ -135,117 +131,95 @@ CollectiveModel CollectiveModel::from_json(const util::Json& doc) {
   return model;
 }
 
-coll::Algorithm CollectiveModel::select(const bench::Scenario& s) const {
+/// One scoring call, in algorithms_for() order. `block` is the per-tree
+/// prediction block jackknife_batch leaves in its scratch: row-major
+/// [candidate x tree] in its first candidates x n_trees() entries.
+struct CollectiveModel::Scores {
+  std::vector<coll::Algorithm> algorithms;
+  std::vector<ml::FeatureRow> rows;
+  std::vector<double> means;
+  std::vector<double> variances;
+  std::vector<double> block;
+  std::size_t best = 0;  ///< argmin of `means`
+};
+
+const CollectiveModel::Scores& CollectiveModel::score(const bench::Scenario& s) const {
+  require(trained(), "model not trained");
   require(s.collective == collective_, "scenario belongs to a different collective");
-  coll::Algorithm best = coll::algorithms_for(collective_).front();
-  double best_log = std::numeric_limits<double>::infinity();
-  for (coll::Algorithm a : coll::algorithms_for(collective_)) {
-    const double t = predict_log_us(bench::BenchmarkPoint{s, a});
-    if (t < best_log) {
-      best_log = t;
-      best = a;
+  // One buffer set per thread: select_batch scores scenarios on pool workers.
+  thread_local Scores sc;
+  sc.algorithms = coll::algorithms_for(collective_);
+  const std::size_t n = sc.algorithms.size();
+  sc.rows.resize(n);
+  sc.means.resize(n);
+  sc.variances.resize(n);
+  for (std::size_t a = 0; a < n; ++a) {
+    sc.rows[a] = encode_point(bench::BenchmarkPoint{s, sc.algorithms[a]});
+  }
+  forest_->jackknife_batch(sc.rows.data(), n, sc.variances.data(), sc.means.data(), sc.block);
+  // Strict `<`: ties keep the earlier algorithm.
+  sc.best = 0;
+  for (std::size_t a = 1; a < n; ++a) {
+    if (sc.means[a] < sc.means[sc.best]) {
+      sc.best = a;
     }
   }
-  return best;
+  return sc;
+}
+
+coll::Algorithm CollectiveModel::select(const bench::Scenario& s) const {
+  const Scores& sc = score(s);
+  return sc.algorithms[sc.best];
 }
 
 std::vector<coll::Algorithm> CollectiveModel::select_batch(
     const std::vector<bench::Scenario>& scenarios) const {
-  if (scenarios.empty()) {
-    return {};
-  }
-  require(trained(), "model not trained");
-  const auto algorithms = coll::algorithms_for(collective_);
-  const std::size_t n_algs = algorithms.size();
-  std::vector<coll::Algorithm> out(scenarios.size(), algorithms.front());
-  // One scenario per slot: each evaluates its candidate block through the
-  // fused kernel and scans the means with select()'s strict `<` tie-break,
-  // so the result is the per-scenario select() bit for bit.
-  util::global_pool().parallel_for(0, scenarios.size(), [&](std::size_t i) {
-    require(scenarios[i].collective == collective_,
-            "scenario belongs to a different collective");
-    thread_local std::vector<ml::FeatureRow> rows;
-    thread_local std::vector<double> means;
-    thread_local std::vector<double> variances;
-    thread_local std::vector<double> scratch;
-    rows.resize(n_algs);
-    means.resize(n_algs);
-    variances.resize(n_algs);
-    for (std::size_t a = 0; a < n_algs; ++a) {
-      rows[a] = encode_point(bench::BenchmarkPoint{scenarios[i], algorithms[a]});
-    }
-    forest_->jackknife_batch(rows.data(), n_algs, variances.data(), means.data(), scratch);
-    std::size_t best = 0;
-    for (std::size_t a = 1; a < n_algs; ++a) {
-      if (means[a] < means[best]) {
-        best = a;
-      }
-    }
-    out[i] = algorithms[best];
-  });
+  std::vector<coll::Algorithm> out(scenarios.size());
+  util::global_pool().parallel_for(
+      0, scenarios.size(), [&](std::size_t i) { out[i] = select(scenarios[i]); }, kSelectGrain);
   return out;
 }
 
 SelectionExplanation CollectiveModel::explain(const bench::Scenario& s) const {
-  require(trained(), "model not trained");
-  require(s.collective == collective_, "scenario belongs to a different collective");
-  const auto algorithms = coll::algorithms_for(collective_);
-
+  const Scores& sc = score(s);
+  const std::size_t n = sc.algorithms.size();
+  const std::size_t nt = forest_->n_trees();
   SelectionExplanation ex;
-  ex.candidates.reserve(algorithms.size());
-  // Per-candidate per-tree predictions; kept so votes and the chosen
-  // candidate's variance come from one prediction pass.
-  std::vector<std::vector<double>> tree_preds;
-  tree_preds.reserve(algorithms.size());
-  for (coll::Algorithm a : algorithms) {
-    thread_local std::vector<double> preds;
-    forest_->predict_trees(encode_point(bench::BenchmarkPoint{s, a}), preds);
-    const ml::PredictionStats stats = ml::summarize_predictions(preds);
-    SelectionExplanation::Candidate c;
-    c.algorithm = a;
-    c.predicted_log_us = stats.mean;  // bitwise-equal to predict_log_us
-    ex.candidates.push_back(c);
-    tree_preds.push_back(preds);
+  ex.candidates.reserve(n);
+  for (std::size_t c = 0; c < n; ++c) {
+    ex.candidates.push_back({sc.algorithms[c], sc.means[c], 0});
   }
-  ex.tree_evals = static_cast<std::int64_t>(algorithms.size() * forest_->n_trees());
+  ex.tree_evals = static_cast<std::int64_t>(n * nt);
 
   // Per-tree votes: each tree votes for the candidate it scored strictly
   // fastest (ties keep the earlier candidate, matching select()'s `<`).
-  for (std::size_t t = 0; t < forest_->n_trees(); ++t) {
+  for (std::size_t t = 0; t < nt; ++t) {
     std::size_t best = 0;
-    for (std::size_t c = 1; c < tree_preds.size(); ++c) {
-      if (tree_preds[c][t] < tree_preds[best][t]) {
+    for (std::size_t c = 1; c < n; ++c) {
+      if (sc.block[c * nt + t] < sc.block[best * nt + t]) {
         best = c;
       }
     }
     ++ex.candidates[best].votes;
   }
 
-  // Argmin / runner-up over the candidate means, with select()'s tie-break.
-  std::size_t chosen = 0;
-  for (std::size_t c = 1; c < ex.candidates.size(); ++c) {
-    if (ex.candidates[c].predicted_log_us < ex.candidates[chosen].predicted_log_us) {
-      chosen = c;
-    }
-  }
-  ex.chosen = ex.candidates[chosen].algorithm;
+  // Runner-up over the candidate means, with select()'s tie-break.
+  const std::size_t chosen = sc.best;
+  ex.chosen = sc.algorithms[chosen];
   ex.runner_up = ex.chosen;
-  if (ex.candidates.size() > 1) {
+  if (n > 1) {
     std::size_t second = chosen == 0 ? 1 : 0;
-    for (std::size_t c = 0; c < ex.candidates.size(); ++c) {
-      if (c != chosen &&
-          ex.candidates[c].predicted_log_us < ex.candidates[second].predicted_log_us) {
+    for (std::size_t c = 0; c < n; ++c) {
+      if (c != chosen && sc.means[c] < sc.means[second]) {
         second = c;
       }
     }
-    ex.runner_up = ex.candidates[second].algorithm;
+    ex.runner_up = sc.algorithms[second];
     ex.has_runner_up = true;
-    ex.margin = std::exp(ex.candidates[second].predicted_log_us -
-                         ex.candidates[chosen].predicted_log_us) -
-                1.0;
+    ex.margin = std::exp(sc.means[second] - sc.means[chosen]) - 1.0;
   }
-  ex.variance = ml::jackknife_variance(tree_preds[chosen]);
-  ex.features = encode_point(bench::BenchmarkPoint{s, ex.chosen});
+  ex.variance = sc.variances[chosen];
+  ex.features = sc.rows[chosen];
   return ex;
 }
 

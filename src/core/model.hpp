@@ -24,9 +24,8 @@ ml::ForestParams default_forest_params();
 
 /// A fully-explained selection decision, produced by CollectiveModel::explain
 /// for the decision flight recorder. Candidates appear in algorithms_for()
-/// order; `chosen` names the same argmin select() computes (the per-candidate
-/// means accumulate per-tree predictions in tree order, which is bitwise-
-/// identical to RandomForest::predict).
+/// order; explain() and select() read one scoring call, so `chosen` is the
+/// argmin select() computes by construction.
 struct SelectionExplanation {
   struct Candidate {
     coll::Algorithm algorithm;
@@ -48,7 +47,10 @@ struct SelectionExplanation {
 };
 
 /// Predicts per-algorithm execution time for a collective and selects the
-/// algorithm with the lowest prediction.
+/// algorithm with the lowest prediction. select(), select_batch() and
+/// explain() share one routine: a scenario's candidate algorithms are encoded
+/// and scored by one RandomForest::jackknife_batch call, whose means give the
+/// argmin and whose per-tree block and variances give the explanation.
 ///
 /// Training state vs. serving snapshots: the fitted forest lives behind a
 /// shared_ptr-to-const. fit() builds a *new* forest and swaps the pointer in,
@@ -78,15 +80,13 @@ class CollectiveModel {
   /// Predicted log(time_us) — the model's native output space.
   double predict_log_us(const bench::BenchmarkPoint& point) const;
 
-  /// Jackknife variance of the per-tree log-time predictions (§IV-A).
-  double jackknife_variance(const bench::BenchmarkPoint& point) const;
-
-  /// Jackknife variance for every point, in order — the batch form the
-  /// acquisition sweep and the convergence proxy share. Fixed-size blocks
-  /// of candidates run the forest's fused SoA predict+jackknife kernel on
-  /// the global thread pool, one result slot per point; per-point values
-  /// are a pure function of the point, so the vector is bitwise-identical
-  /// for any thread count (and to the scalar per-point path).
+  /// Jackknife variance of the per-tree log-time predictions (§IV-A) for
+  /// every point, in order — the sweep the acquisition policy and the
+  /// convergence proxy share. Fixed-size blocks of candidates run the
+  /// forest's fused SoA predict+jackknife kernel on the global thread pool,
+  /// one result slot per point; per-point values are a pure function of the
+  /// point, so the vector is bitwise-identical for any thread count (and to
+  /// sweeping each point alone).
   std::vector<double> jackknife_variances(
       const std::vector<bench::BenchmarkPoint>& points) const;
 
@@ -97,20 +97,19 @@ class CollectiveModel {
   /// the thread count).
   double cumulative_variance(const std::vector<bench::BenchmarkPoint>& candidates) const;
 
-  /// The algorithm with the lowest predicted time for the scenario.
+  /// The algorithm with the lowest predicted time for the scenario; ties
+  /// keep the earlier algorithm in algorithms_for() order.
   coll::Algorithm select(const bench::Scenario& s) const;
 
-  /// select() for a batch of scenarios in one fused forest pass: all
-  /// (scenario x algorithm) rows are evaluated through the batched SoA
-  /// kernel, then each scenario's argmin uses select()'s `<` tie-break.
-  /// Guaranteed to return exactly select(s) per scenario; the rule
-  /// generator's grid sweep runs on this when the flight recorder is off.
+  /// select() per scenario, on the global thread pool in chunks of four (a
+  /// batch of four or fewer runs on the caller at any thread count). The
+  /// rule generator's grid walk and acclaimd's cache misses run on this.
   std::vector<coll::Algorithm> select_batch(const std::vector<bench::Scenario>& scenarios) const;
 
   /// select() with its work shown: per-candidate mean predictions and tree
   /// votes, runner-up and margin, and the chosen candidate's jackknife
-  /// variance. Guaranteed to choose the same algorithm as select() for the
-  /// same scenario. Serial and deterministic — safe to feed the audit log.
+  /// variance, all from select()'s scoring call. Serial and deterministic —
+  /// safe to feed the audit log.
   SelectionExplanation explain(const bench::Scenario& s) const;
 
   /// Serializes the trained model (collective + forest) so a job can reuse
@@ -119,6 +118,12 @@ class CollectiveModel {
   static CollectiveModel from_json(const util::Json& doc);
 
  private:
+  struct Scores;
+  /// The one selection routine: encodes the candidate algorithms of `s` and
+  /// scores them with one jackknife_batch call. The result lives in
+  /// per-thread buffers until this thread's next call.
+  const Scores& score(const bench::Scenario& s) const;
+
   coll::Collective collective_ = coll::Collective::Bcast;
   ml::ForestParams params_;
   /// Immutable once published: fit() replaces the pointer, never the forest.

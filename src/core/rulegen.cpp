@@ -98,25 +98,23 @@ RuleTable RuleGenerator::generate(const CollectiveModel& model, const FeatureSpa
   const coll::Collective c = model.collective();
   RuleTable table(c);
   RuleGeneratorStats local;
-  // Audited selection: when the flight recorder is on, every model query the
-  // grid walk makes becomes one Selection record with the full per-candidate
-  // breakdown (explain() is guaranteed to name select()'s argmin). The walk
-  // is serial, so record order is thread-count-independent
-  // (det-audit-order); when auditing is off this is exactly model.select().
-  auto select_audited = [&](const bench::Scenario& s) {
+  // Flight recorder: when it is on, every model query of the grid walk
+  // becomes one Selection record with the full per-candidate breakdown, at
+  // the query's place in the walk. explain() reads select()'s scoring call,
+  // so the record names the algorithm the walk uses. The walk is serial, so
+  // record order is thread-count-independent (det-audit-order).
+  auto record = [&](const bench::Scenario& s) {
     if (!telemetry::audit().enabled()) {
-      return model.select(s);
+      return;
     }
     const telemetry::Span span("audit.decision");
-    const SelectionExplanation ex = model.explain(s);
-    telemetry::DecisionRecord rec = selection_record(ex);
+    telemetry::DecisionRecord rec = selection_record(model.explain(s));
     rec.collective = coll::collective_name(s.collective);
     rec.nnodes = s.nnodes;
     rec.ppn = s.ppn;
     rec.msg_bytes = s.msg_bytes;
     telemetry::audit().record(std::move(rec));
     telemetry::observe_decision_cost(span.elapsed_ns());
-    return ex.chosen;
   };
   // Default guard (see RuleGeneratorConfig): revert a cell to the MPICH
   // default algorithm when the model's own predictions put the tuned pick
@@ -145,23 +143,16 @@ RuleTable RuleGenerator::generate(const CollectiveModel& model, const FeatureSpa
       auto scenario = [&](std::uint64_t msg) {
         return bench::Scenario{c, nnodes, ppn, msg};
       };
-      // Batched grid sweep: with the flight recorder off, the bucket's whole
-      // msg grid goes through one select_batch call (fused SoA kernel, one
-      // parallel sweep) — guaranteed to return exactly select() per scenario,
-      // so the emitted rules are unchanged. With auditing on, the walk stays
-      // serial per query so record order and bytes are untouched.
-      std::vector<coll::Algorithm> grid;
-      if (!telemetry::audit().enabled()) {
-        std::vector<bench::Scenario> scenarios;
-        scenarios.reserve(msgs.size());
-        for (std::uint64_t msg : msgs) {
-          scenarios.push_back(scenario(msg));
-        }
-        grid = model.select_batch(scenarios);
+      // The bucket's whole msg grid goes through one select_batch call.
+      std::vector<bench::Scenario> grid;
+      grid.reserve(msgs.size());
+      for (std::uint64_t msg : msgs) {
+        grid.push_back(scenario(msg));
       }
+      const std::vector<coll::Algorithm> picks = model.select_batch(grid);
       auto grid_select = [&](std::size_t i) {
-        return guarded(scenario(msgs[i]),
-                       grid.empty() ? select_audited(scenario(msgs[i])) : grid[i]);
+        record(grid[i]);
+        return guarded(grid[i], picks[i]);
       };
       coll::Algorithm current = grid_select(0);
       for (std::size_t i = 1; i < msgs.size(); ++i) {
@@ -173,8 +164,9 @@ RuleTable RuleGenerator::generate(const CollectiveModel& model, const FeatureSpa
         // the model at the non-P2 midpoint B (Fig. 9).
         const std::uint64_t a = msgs[i - 1];
         const std::uint64_t cm = msgs[i];
-        const std::uint64_t b = a + (cm - a) / 2;
-        const coll::Algorithm alg_b = guarded(scenario(b), select_audited(scenario(b)));
+        const bench::Scenario mid = scenario(a + (cm - a) / 2);
+        record(mid);
+        const coll::Algorithm alg_b = guarded(mid, model.select(mid));
         ++local.midpoint_queries;
         rules.push_back({a, current});
         rules.push_back({cm - 1, alg_b});

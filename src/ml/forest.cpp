@@ -133,29 +133,6 @@ double RandomForest::predict(const FeatureRow& row) const {
   return sum / static_cast<double>(roots_.size());
 }
 
-std::vector<double> RandomForest::predict_trees(const FeatureRow& row) const {
-  std::vector<double> out;
-  predict_trees(row, out);
-  return out;
-}
-
-void RandomForest::predict_trees(const FeatureRow& row, std::vector<double>& out) const {
-  require(fitted(), "RandomForest::predict_trees called before fit");
-  require(row.size() == n_features_, "feature count mismatch in predict_trees");
-  // A serial sweep over the arena: for the 24-100 tree forests the pipeline
-  // runs, one cache-friendly pass beats farming per-tree tasks out to the
-  // pool (and is trivially thread-invariant).
-  out.resize(roots_.size());
-  for (std::size_t t = 0; t < roots_.size(); ++t) {
-    out[t] = walk(row.data(), roots_[t], feature_.data(), threshold_.data(), left_.data(),
-                  right_.data(), value_.data());
-  }
-  // Hot path (jackknife variance sweeps call this per candidate per
-  // iteration): a relaxed increment only, no clock reads.
-  static telemetry::Counter& predicts = telemetry::metrics().counter("ml.forest.predicts");
-  predicts.add();
-}
-
 void RandomForest::predict_trees_batch(const FeatureRow* rows, std::size_t n_rows,
                                        double* out) const {
   require(fitted(), "RandomForest::predict_trees_batch called before fit");
@@ -238,11 +215,9 @@ void RandomForest::jackknife_batch(const FeatureRow* rows, std::size_t n_rows,
       means[r] = sum / static_cast<double>(nt);
     }
   }
-  // One "predict" per row keeps the counter's meaning (forest evaluations)
-  // identical between the scalar and batched entry points.
-  static telemetry::Counter& predicts = telemetry::metrics().counter("ml.forest.predicts");
+  // Hot path (every sweep block and every selection): a relaxed increment
+  // only, no clock reads.
   static telemetry::Counter& batched = telemetry::metrics().counter("ml.forest.batched_rows");
-  predicts.add(n_rows);
   batched.add(n_rows);
 }
 
@@ -292,22 +267,6 @@ RandomForest RandomForest::from_json(const util::Json& doc) {
   }
   require(!trees.empty(), "serialized forest must contain at least one tree");
   return from_trees(trees);
-}
-
-PredictionStats summarize_predictions(const std::vector<double>& tree_preds) {
-  require(!tree_preds.empty(), "summarize_predictions requires at least one prediction");
-  PredictionStats stats;
-  stats.min = tree_preds.front();
-  stats.max = tree_preds.front();
-  double sum = 0.0;
-  for (double v : tree_preds) {
-    sum += v;  // tree order, matching RandomForest::predict exactly
-    stats.min = std::min(stats.min, v);
-    stats.max = std::max(stats.max, v);
-  }
-  stats.mean = sum / static_cast<double>(tree_preds.size());
-  stats.variance = jackknife_variance(tree_preds);
-  return stats;
 }
 
 double jackknife_variance(const std::vector<double>& values) {

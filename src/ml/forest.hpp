@@ -7,7 +7,10 @@
 // round (PAPER.md §IV; the fig10/fig12 hot paths), so a forest keeps no
 // trees: fit() and from_json() flatten them into one shared arena of
 // parallel arrays — split feature, threshold, left child, right child, leaf
-// value — and drop them. Every evaluation walks the arena.
+// value — and drop them. Every evaluation walks the arena. predict() gives
+// one row's mean (the Hunold baseline and predict_log_us use it). The
+// batched kernels give per-tree blocks: predict_trees_batch() alone, and
+// jackknife_batch(), which every selection and variance sweep runs.
 //
 // Equivalence contract: flattening copies node fields bit-for-bit and
 // preserves node order, traversal uses DecisionTree::predict's
@@ -31,8 +34,9 @@ struct ForestParams {
 };
 
 /// scikit-style RandomForestRegressor: each tree fits a bootstrap resample;
-/// the forest predicts the mean of the trees. predict_trees() exposes the
-/// per-tree predictions the jackknife variance (§IV-A) needs.
+/// the forest predicts the mean of the trees. predict_trees_batch() and
+/// jackknife_batch() expose the per-tree predictions the jackknife variance
+/// (§IV-A) needs.
 class RandomForest {
  public:
   /// Fits params.n_trees trees, tree i on the i-th seed drawn from `seed`,
@@ -53,15 +57,9 @@ class RandomForest {
   /// Total nodes across all trees (the arena size).
   std::size_t n_nodes() const noexcept { return feature_.size(); }
 
-  /// Mean of the per-tree predictions, accumulated in tree order.
+  /// Mean of the per-tree predictions, accumulated in tree order — the one
+  /// scalar entry point, bitwise-equal to jackknife_batch's `means`.
   double predict(const FeatureRow& row) const;
-
-  /// Per-tree predictions, in tree order.
-  std::vector<double> predict_trees(const FeatureRow& row) const;
-
-  /// Fills `out` (resized to n_trees, shrinking an over-sized vector) —
-  /// allocation-free in hot loops.
-  void predict_trees(const FeatureRow& row, std::vector<double>& out) const;
 
   /// Batched evaluation: walks `n_rows` rows across all trees tree-major,
   /// so one tree's arrays stay cache-hot while a whole batch of rows runs
@@ -73,10 +71,12 @@ class RandomForest {
   /// traversal pass fills a per-row prediction block, then `variances[r]`
   /// gets the jackknife variance of row r's per-tree predictions and
   /// `means[r]` their tree-order mean — trees are never re-traversed, and
-  /// both reductions are bitwise-identical to predict_trees +
-  /// jackknife_variance / predict per row. Either output may be null to
-  /// skip that reduction. `scratch` is caller-owned working memory (grown to
-  /// n_rows * n_trees(), one buffer per thread in parallel sweeps).
+  /// both reductions are bitwise-identical to jackknife_variance of the
+  /// per-tree predictions and to predict() per row. Either output may be
+  /// null to skip that reduction. `scratch` is caller-owned working memory
+  /// (grown to n_rows * n_trees(), one buffer per thread in parallel
+  /// sweeps); the call leaves its first n_rows * n_trees() entries holding
+  /// the per-tree block in predict_trees_batch's layout.
   void jackknife_batch(const FeatureRow* rows, std::size_t n_rows, double* variances,
                        double* means, std::vector<double>& scratch) const;
 
@@ -114,20 +114,5 @@ double jackknife_variance(const std::vector<double>& values);
 /// Span form for the batched sweeps; the vector overload forwards here, so
 /// both compute identical floating-point operation sequences.
 double jackknife_variance(const double* values, std::size_t n);
-
-/// One-pass summary of a per-tree prediction vector, used by the decision
-/// flight recorder to explain what the ensemble saw for one candidate.
-struct PredictionStats {
-  double mean = 0.0;      ///< sum-in-tree-order / n — bitwise-equal to predict()
-  double min = 0.0;
-  double max = 0.0;
-  double variance = 0.0;  ///< jackknife variance of the per-tree predictions
-};
-
-/// Summarizes `tree_preds` (the predict_trees output). The mean accumulates
-/// in tree order, so it is bitwise-identical to RandomForest::predict on the
-/// same row — an explanation built from these stats names the same argmin
-/// the selection path computed. Requires a non-empty vector.
-PredictionStats summarize_predictions(const std::vector<double>& tree_preds);
 
 }  // namespace acclaim::ml

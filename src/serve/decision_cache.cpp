@@ -1,8 +1,7 @@
 #include "serve/decision_cache.hpp"
 
-#include <algorithm>
-
 #include "telemetry/metrics.hpp"
+#include "util/error.hpp"
 
 namespace acclaim::serve {
 
@@ -10,93 +9,47 @@ DecisionKey quantize(std::uint64_t version, const bench::Scenario& s) {
   return DecisionKey{version, s.collective, s.nnodes, s.ppn, s.msg_bytes};
 }
 
-namespace {
-
-int clamp_shards(int shards) {
-  shards = std::clamp(shards, 1, 256);
-  int p2 = 1;
-  while (p2 < shards) {
-    p2 <<= 1;
-  }
-  return p2;
-}
-
-std::size_t key_hash(const DecisionKey& key) {
-  std::uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ULL;
-  };
-  mix(key.version);
-  mix(static_cast<std::uint64_t>(key.collective));
-  mix(static_cast<std::uint64_t>(key.nnodes));
-  mix(static_cast<std::uint64_t>(key.ppn));
-  mix(key.msg_bytes);
-  return static_cast<std::size_t>(h);
-}
-
-}  // namespace
-
-DecisionCache::DecisionCache(std::size_t capacity, int shards)
-    : shards_(static_cast<std::size_t>(clamp_shards(shards))),
-      per_shard_capacity_(std::max<std::size_t>(1, capacity / shards_.size())) {}
-
-DecisionCache::Shard& DecisionCache::shard_for(const DecisionKey& key) {
-  return shards_[key_hash(key) & (shards_.size() - 1)];
+DecisionCache::DecisionCache(std::size_t capacity) : capacity_(capacity) {
+  require(capacity >= 1, "decision cache capacity must be >= 1");
 }
 
 std::optional<coll::Algorithm> DecisionCache::get(const DecisionKey& key) {
   static telemetry::Counter& hits = telemetry::metrics().counter("serve.cache.hits");
   static telemetry::Counter& misses = telemetry::metrics().counter("serve.cache.misses");
-  Shard& shard = shard_for(key);
-  std::lock_guard lock(shard.mu);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    ++shard.misses;
+  std::lock_guard lock(mu_);
+  const auto it = index_.find(key);
+  if (it == index_.end()) {
+    ++misses_;
     misses.add();
     return std::nullopt;
   }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  ++shard.hits;
+  lru_.splice(lru_.begin(), lru_, it->second);
+  ++hits_;
   hits.add();
   return it->second->second;
 }
 
 void DecisionCache::put(const DecisionKey& key, coll::Algorithm alg) {
   static telemetry::Counter& evictions = telemetry::metrics().counter("serve.cache.evictions");
-  Shard& shard = shard_for(key);
-  std::lock_guard lock(shard.mu);
-  if (const auto it = shard.index.find(key); it != shard.index.end()) {
+  std::lock_guard lock(mu_);
+  if (const auto it = index_.find(key); it != index_.end()) {
     it->second->second = alg;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  if (shard.index.size() >= per_shard_capacity_) {
-    const auto& victim = shard.lru.back();
-    shard.index.erase(victim.first);
-    shard.lru.pop_back();
-    ++shard.evictions;
+  if (index_.size() >= capacity_) {
+    index_.erase(lru_.back().first);
+    lru_.pop_back();
+    ++evictions_;
     evictions.add();
   }
-  shard.lru.emplace_front(key, alg);
-  shard.index.emplace(key, shard.lru.begin());
+  lru_.emplace_front(key, alg);
+  index_.emplace(key, lru_.begin());
 }
 
 DecisionCache::Stats DecisionCache::stats() const {
-  Stats st;
-  st.capacity = capacity();
-  for (const Shard& shard : shards_) {
-    std::lock_guard lock(shard.mu);
-    st.hits += shard.hits;
-    st.misses += shard.misses;
-    st.evictions += shard.evictions;
-    st.entries += shard.index.size();
-  }
-  return st;
-}
-
-std::size_t DecisionCache::capacity() const noexcept {
-  return per_shard_capacity_ * shards_.size();
+  std::lock_guard lock(mu_);
+  return Stats{hits_, misses_, evictions_, index_.size(), capacity_};
 }
 
 }  // namespace acclaim::serve

@@ -1,5 +1,5 @@
-// acclaimd decision cache: sharded LRU of hot (quantized features ->
-// algorithm) selections.
+// acclaimd decision cache: an LRU of hot (quantized features -> algorithm)
+// selections.
 //
 // Key quantization: the forest sees a scenario as the feature row
 // {log2 nodes, log2 ppn, log2 msg} + algorithm one-hot (core/feature_space).
@@ -14,10 +14,10 @@
 // republishing a model naturally invalidates its cached decisions (stale
 // versions age out of the LRU instead of being swept).
 //
-// Sharding: the key hashes to one of N independent shards, each a
-// mutex-guarded LRU list + ordered index. Shard mutexes are only ever held
-// for O(log n) map operations — no model evaluation happens under a lock.
-// Hit/miss/eviction counts feed the telemetry registry (serve.cache.*).
+// Locking: one mutex guards the LRU list and its ordered index, and is only
+// ever held for O(log n) map operations — no model evaluation happens under
+// it. The daemon answers one connection at a time, so nothing contends on
+// it. Hit/miss/eviction counts feed the telemetry registry (serve.cache.*).
 #pragma once
 
 #include <cstdint>
@@ -26,7 +26,6 @@
 #include <mutex>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "benchdata/point.hpp"
 #include "collectives/types.hpp"
@@ -59,42 +58,35 @@ class DecisionCache {
     std::size_t capacity = 0;
   };
 
-  /// `capacity` is the total entry budget, split evenly across shards (each
-  /// shard gets at least one slot). `shards` is clamped to [1, 256] and
-  /// rounded up to a power of two.
-  explicit DecisionCache(std::size_t capacity, int shards = 8);
+  /// Holds at most `capacity` entries; throws InvalidArgument when it is 0.
+  explicit DecisionCache(std::size_t capacity);
   DecisionCache(const DecisionCache&) = delete;
   DecisionCache& operator=(const DecisionCache&) = delete;
 
   /// Cache probe; a hit refreshes the entry's LRU position.
   std::optional<coll::Algorithm> get(const DecisionKey& key);
 
-  /// Inserts (or refreshes) a decision, evicting the shard's least recently
-  /// used entry when the shard is full.
+  /// Inserts (or refreshes) a decision, evicting the least recently used
+  /// entry when the cache is full.
   void put(const DecisionKey& key, coll::Algorithm alg);
 
-  /// Aggregated over all shards. Counts are monotonic for the cache's
-  /// lifetime (they also tick the global serve.cache.* telemetry counters).
+  /// Counts are monotonic for the cache's lifetime (they also tick the
+  /// global serve.cache.* telemetry counters).
   Stats stats() const;
 
-  std::size_t capacity() const noexcept;
-  int shards() const noexcept { return static_cast<int>(shards_.size()); }
+  std::size_t capacity() const noexcept { return capacity_; }
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    /// Front = most recently used. The index maps key -> list node.
-    std::list<std::pair<DecisionKey, coll::Algorithm>> lru;
-    std::map<DecisionKey, std::list<std::pair<DecisionKey, coll::Algorithm>>::iterator> index;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-  };
+  using Entry = std::pair<DecisionKey, coll::Algorithm>;
 
-  Shard& shard_for(const DecisionKey& key);
-
-  std::vector<Shard> shards_;
-  std::size_t per_shard_capacity_;
+  mutable std::mutex mu_;  ///< guards every member below but capacity_
+  /// Front = most recently used. The index maps key -> list node.
+  std::list<Entry> lru_;
+  std::map<DecisionKey, std::list<Entry>::iterator> index_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t evictions_ = 0;
+  std::size_t capacity_;
 };
 
 }  // namespace acclaim::serve

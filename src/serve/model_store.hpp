@@ -1,4 +1,4 @@
-// acclaimd model store: sharded, read-mostly registry of published models.
+// acclaimd model store: read-mostly registry of published models.
 //
 // The serving side of ACCLAiM (ROADMAP "tuning-as-a-service daemon") keeps
 // one immutable ModelSnapshot per (collective, comm size, topology signature)
@@ -8,7 +8,7 @@
 // shared_ptr makes it visible. Queries in flight keep whatever snapshot they
 // resolved — they never observe a half-published model.
 //
-// Locking discipline: each shard's shared_mutex guards its key -> snapshot
+// Locking discipline: one shared_mutex guards the ordered key -> snapshot
 // map. Readers copy a snapshot pointer under the shared side; publishers
 // install one under the exclusive side, and only when its version is
 // higher, so racing publishers cannot leave an older model visible. Keys
@@ -74,8 +74,7 @@ double model_key_distance(const ModelKey& want, const ModelKey& have);
 
 class ModelStore {
  public:
-  /// `shards` is clamped to [1, 256] and rounded up to a power of two.
-  explicit ModelStore(int shards = 8);
+  ModelStore() = default;
   ModelStore(const ModelStore&) = delete;
   ModelStore& operator=(const ModelStore&) = delete;
 
@@ -110,17 +109,9 @@ class ModelStore {
   /// All published keys, sorted (deterministic for stats/debug output).
   std::vector<ModelKey> keys() const;
 
-  int shards() const noexcept { return static_cast<int>(shards_.size()); }
-
  private:
-  struct Shard {
-    mutable std::shared_mutex mu;  ///< guards `snapshots`
-    std::map<ModelKey, std::shared_ptr<const ModelSnapshot>> snapshots;
-  };
-
-  Shard& shard_for(const ModelKey& key) const;
-
-  mutable std::vector<Shard> shards_;
+  mutable std::shared_mutex mu_;  ///< guards `snapshots_`
+  std::map<ModelKey, std::shared_ptr<const ModelSnapshot>> snapshots_;
   std::atomic<std::uint64_t> next_version_{1};
 };
 

@@ -2,28 +2,30 @@
 //
 // This is the library behind `acclaim serve` (the NDJSON daemon) and the
 // loadgen bench: a long-lived object that answers algorithm-selection
-// queries for many concurrent jobs. The read path is:
+// queries for many concurrent jobs. select() and select_batch() share one
+// read path; a single query is a batch of one:
 //
-//   query --> quantize(features) --> DecisionCache probe --(hit)--> answer
+//   queries --> quantize(features) --> DecisionCache probe --(hit)--> answer
 //                 |
-//                (miss)
+//                (miss, grouped per ModelSnapshot)
 //                 v
-//          ModelSnapshot (pointer copied under its store shard's shared lock)
+//          ModelSnapshot (pointer copied under the store's shared lock)
 //                 v
-//          CollectiveModel::select / select_batch (flat-forest kernels,
-//          batches fan out on the global thread pool)
+//          CollectiveModel::select_batch (one fused forest call per
+//          scenario; more than four fan out on the global thread pool)
 //                 v
 //          DecisionCache::put --> answer
 //
-// Both paths return the same bits as calling CollectiveModel::select
-// directly on the published model: the cache key is a lossless quantization
-// (see decision_cache.hpp) that includes the snapshot version, and
-// select_batch is documented (and tested) to equal per-scenario select().
-// The loadgen bench and tests/test_serve.cpp enforce this differentially.
+// Every answer has the same bits as calling CollectiveModel::select directly
+// on the published model: the cache key is a lossless quantization (see
+// decision_cache.hpp) that includes the snapshot version, and select_batch
+// is select() per scenario. The loadgen bench and tests/test_serve.cpp
+// enforce this differentially.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,9 +60,8 @@ class ServeCore {
 
   /// Answers a batch of queries against one topology. Cache hits resolve
   /// immediately; the misses of each snapshot run through the model's
-  /// batched selection kernel (which fans out on the global thread pool).
-  /// Element i is exactly what select(scenarios[i], topology) would return
-  /// (modulo the cache_hit flag).
+  /// select_batch. Element i is exactly what select(scenarios[i], topology)
+  /// would return (modulo the cache_hit flag).
   std::vector<Decision> select_batch(const std::vector<bench::Scenario>& scenarios,
                                      const std::string& topology = "default");
 
@@ -69,8 +70,11 @@ class ServeCore {
   std::size_t cache_capacity() const noexcept { return cache_.capacity(); }
 
  private:
-  std::shared_ptr<const ModelSnapshot> resolve_or_throw(const bench::Scenario& s,
-                                                        const std::string& topology) const;
+  /// The read path both entry points run: resolve, probe the cache, group
+  /// the misses per snapshot, select_batch each group, fill the cache.
+  /// Writes out[i] for scenarios[i].
+  void answer(std::span<const bench::Scenario> scenarios, const std::string& topology,
+              std::span<Decision> out);
 
   ModelStore store_;
   DecisionCache cache_;

@@ -10,15 +10,23 @@ void read_json_lines(const std::string& path,
   }
   std::string line;
   std::size_t lineno = 0;
+  const auto where = [&] { return path + ":" + std::to_string(lineno) + ": "; };
   while (std::getline(in, line)) {
     ++lineno;
     if (line.find_first_not_of(" \t\r") == std::string::npos) {
       continue;
     }
+    util::Json doc;
     try {
-      on_record(util::Json::parse(line));
+      doc = util::Json::parse(line);
+    } catch (const ParseError& e) {
+      // The parser counts lines within this one line; its column stands.
+      throw ParseError(where() + e.detail(), lineno, e.column());
+    }
+    try {
+      on_record(doc);
     } catch (const Error& e) {
-      throw ParseError(path + ":" + std::to_string(lineno) + ": " + e.what(), lineno, 1);
+      throw ParseError(where() + e.what(), lineno, 1);
     }
   }
 }

@@ -150,8 +150,9 @@ class RecordSink {
 
 /// Calls `on_record` with each non-blank line of the JSON-lines file at
 /// `path`, parsed, in file order. Throws IoError when the file cannot be
-/// opened, and a ParseError naming `path:line` when a line is not JSON or
-/// `on_record` rejects it with an acclaim::Error.
+/// opened, and a ParseError naming `path:line` when a line is not JSON (at
+/// the parser's column on that line) or `on_record` rejects it with an
+/// acclaim::Error (at column 1).
 void read_json_lines(const std::string& path,
                      const std::function<void(const util::Json&)>& on_record);
 

@@ -2,8 +2,9 @@
 
 namespace acclaim {
 
-ParseError::ParseError(const std::string& what, std::size_t line, std::size_t col)
-    : Error(what + " (line " + std::to_string(line) + ", column " + std::to_string(col) + ")"),
+ParseError::ParseError(const std::string& detail, std::size_t line, std::size_t col)
+    : Error(detail + " (line " + std::to_string(line) + ", column " + std::to_string(col) + ")"),
+      detail_(detail),
       line_(line),
       col_(col) {}
 

@@ -23,13 +23,17 @@ class InvalidArgument : public Error {
 };
 
 /// Parsing of an external artifact (JSON config, dataset file) failed.
+/// what() is `detail` followed by " (line L, column C)".
 class ParseError : public Error {
  public:
-  ParseError(const std::string& what, std::size_t line, std::size_t col);
+  ParseError(const std::string& detail, std::size_t line, std::size_t col);
   std::size_t line() const noexcept { return line_; }
   std::size_t column() const noexcept { return col_; }
+  /// The message without its location.
+  const std::string& detail() const noexcept { return detail_; }
 
  private:
+  std::string detail_;
   std::size_t line_;
   std::size_t col_;
 };

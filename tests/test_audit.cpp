@@ -3,6 +3,7 @@
 // selection/acquisition paths in core.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -20,6 +21,7 @@
 #include "core/rulegen.hpp"
 #include "telemetry/audit.hpp"
 #include "telemetry/metrics.hpp"
+#include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -231,6 +233,35 @@ TEST_F(AuditTest, ReadAuditFileErrors) {
   }
 }
 
+// A line that is not JSON is named once, at the parser's column on that
+// line; a record that parses but fails its schema keeps the path:line:
+// prefix at column 1.
+TEST_F(AuditTest, ReaderNamesOneLocationWithTheParsersColumn) {
+  const std::string path = temp_path("audit_column.jsonl");
+  for (const std::string& bad : {std::string("{not json"), std::string(R"({"seq":1})")}) {
+    {
+      std::ofstream out(path, std::ios::trunc);
+      out << sample_selection().to_json().dump() << "\n" << bad << "\n";
+    }
+    try {
+      telemetry::read_audit_file(path);
+      ADD_FAILURE() << "expected ParseError for " << bad;
+    } catch (const ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(e.line(), 2u);
+      EXPECT_EQ(what.find("(line"), what.rfind("(line")) << what;
+      if (bad == "{not json") {
+        EXPECT_EQ(what, path + ":2: expected '\"' (line 2, column 3)");
+        EXPECT_EQ(e.column(), 3u);
+      } else {
+        EXPECT_EQ(what.rfind(path + ":2: ", 0), 0u) << what;
+        EXPECT_EQ(e.column(), 1u);
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST_F(AuditTest, ObserveDecisionCostFeedsMetricsNotRecords) {
   telemetry::observe_decision_cost(1500.0);
   telemetry::observe_decision_cost(2500.0);
@@ -332,6 +363,90 @@ TEST_F(AuditTest, ExplainNamesTheSameArgminAsSelect) {
     EXPECT_EQ(ex.tree_evals,
               static_cast<std::int64_t>(model.n_trees() *
                                         coll::algorithms_for(s.collective).size()));
+  }
+}
+
+TEST_F(AuditTest, ExplainMatchesATreeWalkReference) {
+  // explain() against walking the model's own fitted trees with
+  // DecisionTree::predict: tree-order means, strict-`<` votes, argmin,
+  // runner-up, margin and the chosen candidate's jackknife variance.
+  const coll::Collective c = coll::Collective::Bcast;
+  ml::ForestParams params = core::default_forest_params();
+  params.n_trees = 12;
+  std::vector<core::LabeledPoint> data;
+  double t = 10.0;
+  for (int n : {2, 4, 8}) {
+    for (std::uint64_t msg : {64ull, 1024ull, 16384ull}) {
+      for (coll::Algorithm a : coll::algorithms_for(c)) {
+        data.push_back({bench::BenchmarkPoint{bench::Scenario{c, n, 4, msg}, a}, t});
+        t *= 1.17;
+      }
+    }
+  }
+  core::CollectiveModel model(c, params);
+  model.fit(data, 99);
+  std::vector<ml::FeatureRow> X;
+  std::vector<double> y;
+  for (const core::LabeledPoint& lp : data) {
+    X.push_back(core::encode_point(lp.point));
+    y.push_back(std::log(lp.time_us));
+  }
+  const std::vector<ml::DecisionTree> trees = testing_support::fit_trees(X, y, params, 99);
+  const std::vector<coll::Algorithm> algs = coll::algorithms_for(c);
+  const std::size_t nt = trees.size();
+
+  for (int nodes : {2, 3, 8}) {
+    for (std::uint64_t msg : {64ull, 300ull, 1024ull, 5000ull, 65536ull}) {
+      const bench::Scenario s{c, nodes, 4, msg};
+      std::vector<std::vector<double>> preds;
+      std::vector<double> means;
+      for (coll::Algorithm a : algs) {
+        preds.push_back(testing_support::walk_trees(trees, core::encode_point({s, a})));
+        double sum = 0.0;
+        for (double v : preds.back()) {
+          sum += v;
+        }
+        means.push_back(sum / static_cast<double>(nt));
+      }
+      std::vector<int> votes(algs.size(), 0);
+      for (std::size_t tree = 0; tree < nt; ++tree) {
+        std::size_t best = 0;
+        for (std::size_t a = 1; a < algs.size(); ++a) {
+          if (preds[a][tree] < preds[best][tree]) {
+            best = a;
+          }
+        }
+        ++votes[best];
+      }
+      std::size_t chosen = 0;
+      for (std::size_t a = 1; a < algs.size(); ++a) {
+        if (means[a] < means[chosen]) {
+          chosen = a;
+        }
+      }
+      std::size_t second = chosen == 0 ? 1 : 0;
+      for (std::size_t a = 0; a < algs.size(); ++a) {
+        if (a != chosen && means[a] < means[second]) {
+          second = a;
+        }
+      }
+
+      const core::SelectionExplanation ex = model.explain(s);
+      ASSERT_EQ(ex.candidates.size(), algs.size()) << s.to_string();
+      for (std::size_t a = 0; a < algs.size(); ++a) {
+        EXPECT_EQ(ex.candidates[a].algorithm, algs[a]) << s.to_string();
+        EXPECT_EQ(ex.candidates[a].predicted_log_us, means[a]) << s.to_string();
+        EXPECT_EQ(ex.candidates[a].predicted_log_us, model.predict_log_us({s, algs[a]}));
+        EXPECT_EQ(ex.candidates[a].votes, votes[a]) << s.to_string();
+      }
+      EXPECT_EQ(ex.chosen, algs[chosen]) << s.to_string();
+      EXPECT_TRUE(ex.has_runner_up);
+      EXPECT_EQ(ex.runner_up, algs[second]) << s.to_string();
+      EXPECT_EQ(ex.margin, std::exp(means[second] - means[chosen]) - 1.0) << s.to_string();
+      EXPECT_EQ(ex.variance, ml::jackknife_variance(preds[chosen])) << s.to_string();
+      EXPECT_EQ(ex.features, core::encode_point({s, algs[chosen]})) << s.to_string();
+      EXPECT_EQ(ex.tree_evals, static_cast<std::int64_t>(algs.size() * nt));
+    }
   }
 }
 

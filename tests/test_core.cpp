@@ -177,7 +177,8 @@ TEST(CollectiveModel, JackknifeVarianceLowerNearData) {
   const BenchmarkPoint seen{{Collective::Bcast, 4, 2, 256}, Algorithm::BcastBinomial};
   const BenchmarkPoint unseen{{Collective::Bcast, 4, 2, 64 * 1024},
                               Algorithm::BcastBinomial};
-  EXPECT_LE(model.jackknife_variance(seen), model.jackknife_variance(unseen));
+  const std::vector<double> var = model.jackknife_variances({seen, unseen});
+  EXPECT_LE(var[0], var[1]);
   EXPECT_GT(model.cumulative_variance({seen, unseen}), 0.0);
 }
 
@@ -218,9 +219,10 @@ TEST_F(PolicyTest, AcclaimArgmaxPicksHighestVariance) {
   core::AcclaimAcquisition policy(
       core::AcclaimAcquisitionConfig{0, core::VariancePick::Argmax});
   const auto pick = policy.next(model_, pool_, env_, rng_);
-  const double picked_var = model_.jackknife_variance(pool_[pick.pool_index]);
-  for (const BenchmarkPoint& p : pool_) {
-    EXPECT_GE(picked_var, model_.jackknife_variance(p) - 1e-12);
+  const std::vector<double> var = model_.jackknife_variances(pool_);
+  const double picked_var = var[pick.pool_index];
+  for (const double v : var) {
+    EXPECT_GE(picked_var, v - 1e-12);
   }
   EXPECT_EQ(pick.point, pool_[pick.pool_index]);
 }
@@ -229,16 +231,17 @@ TEST_F(PolicyTest, AcclaimWeightedSamplingFavorsHighVariance) {
   // The default mode: picks are random but variance-proportional, so over
   // many draws the mean variance of picks exceeds the pool mean.
   core::AcclaimAcquisition policy(core::AcclaimAcquisitionConfig{0});
+  const std::vector<double> var = model_.jackknife_variances(pool_);
   double pool_mean = 0.0;
-  for (const BenchmarkPoint& p : pool_) {
-    pool_mean += model_.jackknife_variance(p);
+  for (const double v : var) {
+    pool_mean += v;
   }
   pool_mean /= static_cast<double>(pool_.size());
   double picked_mean = 0.0;
   constexpr int kDraws = 200;
   for (int i = 0; i < kDraws; ++i) {
     const auto pick = policy.next(model_, pool_, env_, rng_);
-    picked_mean += model_.jackknife_variance(pool_[pick.pool_index]);
+    picked_mean += var[pick.pool_index];
   }
   picked_mean /= kDraws;
   // Variance-weighted expectation is E[V^2]/E[V] = (1 + CV^2) * E[V] > E[V].

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "simnet/machine.hpp"
 #include "simnet/topology.hpp"
 #include "telemetry/audit.hpp"
+#include "test_helpers.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -104,7 +106,7 @@ TEST(GoldenDeterminism, PredictionsAndJackknifeBitwiseIdentical) {
   std::vector<std::vector<double>> ref_trees(X.size());
   std::vector<double> ref_mean(X.size());
   for (std::size_t i = 0; i < X.size(); ++i) {
-    ref_trees[i] = ref.predict_trees(X[i]);
+    ref_trees[i] = testing_support::tree_predictions(ref, X[i]);
     ref_mean[i] = ref.predict(X[i]);
   }
 
@@ -113,7 +115,7 @@ TEST(GoldenDeterminism, PredictionsAndJackknifeBitwiseIdentical) {
     ml::RandomForest forest;
     forest.fit(X, y, params, 99);
     for (std::size_t i = 0; i < X.size(); ++i) {
-      const std::vector<double> trees = forest.predict_trees(X[i]);
+      const std::vector<double> trees = testing_support::tree_predictions(forest, X[i]);
       ASSERT_EQ(trees.size(), ref_trees[i].size());
       for (std::size_t t = 0; t < trees.size(); ++t) {
         ASSERT_EQ(trees[t], ref_trees[i][t]) << "threads=" << threads << " row=" << i;
@@ -124,17 +126,17 @@ TEST(GoldenDeterminism, PredictionsAndJackknifeBitwiseIdentical) {
   }
 }
 
-/// Labeled points over every Bcast algorithm and a small scenario grid,
+/// Labeled points over every algorithm of `c` and a small scenario grid,
 /// with a smooth synthetic cost so the model has signal.
-std::vector<core::LabeledPoint> synthetic_bcast_points() {
+std::vector<core::LabeledPoint> synthetic_points(coll::Collective c) {
   std::vector<core::LabeledPoint> data;
-  const auto algorithms = coll::algorithms_for(coll::Collective::Bcast);
+  const auto algorithms = coll::algorithms_for(c);
   for (int nodes : {2, 4, 8, 16}) {
     for (std::uint64_t msg : {64ull, 1024ull, 16384ull}) {
       std::size_t ai = 0;
       for (coll::Algorithm alg : algorithms) {
         core::LabeledPoint p;
-        p.point.scenario.collective = coll::Collective::Bcast;
+        p.point.scenario.collective = c;
         p.point.scenario.nnodes = nodes;
         p.point.scenario.ppn = 4;
         p.point.scenario.msg_bytes = msg;
@@ -151,7 +153,7 @@ std::vector<core::LabeledPoint> synthetic_bcast_points() {
 
 TEST(GoldenDeterminism, CollectiveModelVarianceSweepIdenticalAcrossThreads) {
   ThreadGuard guard;
-  const std::vector<core::LabeledPoint> data = synthetic_bcast_points();
+  const std::vector<core::LabeledPoint> data = synthetic_points(coll::Collective::Bcast);
   std::vector<bench::BenchmarkPoint> pool;
   for (const auto& lp : data) {
     pool.push_back(lp.point);
@@ -261,7 +263,7 @@ std::string batch_fingerprint(int threads) {
 /// accepted (non-P2 swap included).
 std::string round_fingerprint(int threads) {
   util::set_global_threads(threads);
-  const std::vector<core::LabeledPoint> data = synthetic_bcast_points();
+  const std::vector<core::LabeledPoint> data = synthetic_points(coll::Collective::Bcast);
   std::vector<bench::BenchmarkPoint> pool;
   for (const auto& lp : data) {
     if (lp.point.scenario.nnodes <= 4) {  // one rack each: the round packs many
@@ -401,33 +403,61 @@ TEST(GoldenDeterminism, AuditLogBitwiseIdenticalAcrossThreads) {
   }
 }
 
-// The batched model paths (the blocked fused jackknife sweep and
-// select_batch) run on the thread pool; they must equal the scalar per-point
-// paths bit for bit.
+// The batched model paths run on the thread pool and must equal the scalar
+// paths bit for bit: the blocked fused jackknife sweep equals sweeping each
+// point alone, and select_batch, select and the argmin of the scalar
+// predict_log_us agree — for every standard collective (2- and 3-candidate
+// blocks) and every batch size from 0 to 17, on both sides of
+// select_batch's chunk of four.
 TEST(ForestGolden, VarianceSweepAndSelectionMatchScalarPaths) {
   ThreadGuard guard;
   util::set_global_threads(4);
-  const std::vector<core::LabeledPoint> data = synthetic_bcast_points();
-  std::vector<bench::BenchmarkPoint> pool;
-  std::vector<bench::Scenario> scenarios;
-  for (const auto& lp : data) {
-    pool.push_back(lp.point);
-    scenarios.push_back(lp.point.scenario);
-  }
-  core::CollectiveModel model(coll::Collective::Bcast);
-  model.fit(data, 4321);
+  std::set<std::size_t> block_sizes;
+  for (const coll::Collective c : coll::all_collectives()) {
+    const std::vector<core::LabeledPoint> data = synthetic_points(c);
+    std::vector<bench::BenchmarkPoint> pool;
+    for (const auto& lp : data) {
+      pool.push_back(lp.point);
+    }
+    core::CollectiveModel model(c);
+    model.fit(data, 4321);
+    const std::vector<coll::Algorithm> algorithms = coll::algorithms_for(c);
+    block_sizes.insert(algorithms.size());
 
-  const std::vector<double> var = model.jackknife_variances(pool);
-  const std::vector<coll::Algorithm> sel = model.select_batch(scenarios);
-  ASSERT_EQ(var.size(), pool.size());
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    ASSERT_EQ(var[i], model.jackknife_variance(pool[i])) << "candidate=" << i;
+    const std::vector<double> var = model.jackknife_variances(pool);
+    ASSERT_EQ(var.size(), pool.size());
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      ASSERT_EQ(var[i], model.jackknife_variances({pool[i]}).front())
+          << coll::collective_name(c) << " candidate=" << i;
+    }
+
+    // Distinct scenarios on and off the training grid, P2 and non-P2.
+    std::vector<bench::Scenario> scenarios;
+    for (int nodes : {2, 3, 8}) {
+      for (std::uint64_t msg : {64ull, 100ull, 1024ull, 5000ull, 16384ull, 40000ull}) {
+        scenarios.push_back(bench::Scenario{c, nodes, 4, msg});
+      }
+    }
+    for (std::size_t n = 0; n <= 17; ++n) {
+      const std::vector<bench::Scenario> batch(scenarios.begin(), scenarios.begin() + n);
+      const std::vector<coll::Algorithm> sel = model.select_batch(batch);
+      ASSERT_EQ(sel.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        std::size_t best = 0;
+        for (std::size_t a = 1; a < algorithms.size(); ++a) {
+          if (model.predict_log_us({batch[i], algorithms[a]}) <
+              model.predict_log_us({batch[i], algorithms[best]})) {
+            best = a;
+          }
+        }
+        ASSERT_EQ(sel[i], model.select(batch[i]))
+            << coll::collective_name(c) << " n=" << n << " scenario=" << i;
+        ASSERT_EQ(sel[i], algorithms[best])
+            << coll::collective_name(c) << " n=" << n << " scenario=" << i;
+      }
+    }
   }
-  // select_batch is documented to return exactly select() per scenario.
-  ASSERT_EQ(sel.size(), scenarios.size());
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    ASSERT_EQ(sel[i], model.select(scenarios[i])) << "scenario=" << i;
-  }
+  EXPECT_EQ(block_sizes, (std::set<std::size_t>{2, 3}));
 }
 
 }  // namespace

@@ -22,6 +22,7 @@ namespace {
 
 using namespace acclaim;
 using testing_support::fit_trees;
+using testing_support::tree_predictions;
 using testing_support::walk_trees;
 
 /// Seeded random training set: `n_features` columns, mixed continuous and
@@ -107,7 +108,7 @@ TEST(ForestArenaBuild, FitEqualsFromTreesOfTreesFitWithTheSameSeeds) {
     const ml::RandomForest flattened = ml::RandomForest::from_trees(fit_trees(X, y, params, 29));
     ASSERT_EQ(fitted.to_json().dump(), flattened.to_json().dump()) << "bootstrap=" << bootstrap;
     for (const ml::FeatureRow& row : random_rows(rng, 3, 10)) {
-      ASSERT_EQ(fitted.predict_trees(row), flattened.predict_trees(row));
+      ASSERT_EQ(tree_predictions(fitted, row), tree_predictions(flattened, row));
     }
   }
 }
@@ -143,9 +144,7 @@ TEST(ForestArenaDifferential, RandomForestsBitwiseEqualToTreeWalks) {
 
     for (const ml::FeatureRow& row : random_rows(rng, n_features, 25)) {
       const std::vector<double> ref = walk_trees(trees, row);
-      std::vector<double> preds;
-      forest.predict_trees(row, preds);
-      ASSERT_EQ(preds, ref) << "trial=" << trial;
+      ASSERT_EQ(tree_predictions(forest, row), ref) << "trial=" << trial;
       ASSERT_EQ(forest.predict(row), reference_mean(ref)) << "trial=" << trial;
     }
   }
@@ -168,9 +167,8 @@ TEST(ForestArenaDifferential, BatchedMatchesScalarForRandomBatchSizes) {
     const std::vector<ml::FeatureRow> rows = random_rows(rng, 5, n_rows);
     std::vector<double> batched(n_rows * nt);
     forest.predict_trees_batch(rows.data(), n_rows, batched.data());
-    std::vector<double> scalar;
     for (std::size_t r = 0; r < n_rows; ++r) {
-      forest.predict_trees(rows[r], scalar);
+      const std::vector<double> scalar = tree_predictions(forest, rows[r]);
       for (std::size_t t = 0; t < nt; ++t) {
         ASSERT_EQ(batched[r * nt + t], scalar[t])
             << "n_rows=" << n_rows << " row=" << r << " tree=" << t;
@@ -265,9 +263,7 @@ TEST(ForestArenaDegenerate, ConstantFeaturesAndDuplicateThresholds) {
     rows.push_back({1.0, v, -7.0});
   }
   for (const ml::FeatureRow& row : rows) {
-    std::vector<double> preds;
-    forest.predict_trees(row, preds);
-    ASSERT_EQ(preds, walk_trees(trees, row));
+    ASSERT_EQ(tree_predictions(forest, row), walk_trees(trees, row));
   }
   std::vector<double> batched(rows.size() * forest.n_trees());
   forest.predict_trees_batch(rows.data(), rows.size(), batched.data());
@@ -300,9 +296,7 @@ TEST(ForestArenaDegenerate, NanAndExtremeValuesRouteIdentically) {
     // NaN fails `x <= threshold`, so the arena must route right at every
     // NaN-featured split — verified against the tree walks directly.
     const std::vector<double> ref = walk_trees(trees, row);
-    std::vector<double> preds;
-    forest.predict_trees(row, preds);
-    ASSERT_EQ(preds, ref);
+    ASSERT_EQ(tree_predictions(forest, row), ref);
     ASSERT_EQ(forest.predict(row), reference_mean(ref));
   }
   std::vector<double> batched(rows.size() * forest.n_trees());
@@ -332,7 +326,7 @@ TEST(ForestArenaSerialization, FromJsonRebuildsTheArena) {
   EXPECT_EQ(restored.n_nodes(), forest.n_nodes());
   EXPECT_EQ(restored.to_json().dump(), forest.to_json().dump());
   for (const ml::FeatureRow& row : random_rows(rng, 4, 20)) {
-    ASSERT_EQ(restored.predict_trees(row), forest.predict_trees(row));
+    ASSERT_EQ(tree_predictions(restored, row), tree_predictions(forest, row));
   }
 }
 

@@ -92,4 +92,13 @@ inline std::vector<double> walk_trees(const std::vector<ml::DecisionTree>& trees
   return out;
 }
 
+/// Per-tree predictions for one row, in tree order, from the forest's
+/// batched kernel run on a batch of one.
+inline std::vector<double> tree_predictions(const ml::RandomForest& forest,
+                                            const ml::FeatureRow& row) {
+  std::vector<double> out(forest.n_trees());
+  forest.predict_trees_batch(&row, 1, out.data());
+  return out;
+}
+
 }  // namespace acclaim::testing_support

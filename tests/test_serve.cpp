@@ -1,5 +1,5 @@
 // Tests for the acclaimd serving core: snapshot publication (copy-on-write,
-// concurrent readers), the sharded LRU decision cache, the NDJSON protocol's
+// concurrent readers), the LRU decision cache, the NDJSON protocol's
 // untrusted-input handling, the serving-vs-direct differential guarantee, and
 // the daemon's two read loops (stream and unix socket) with their line cap.
 #include <gtest/gtest.h>
@@ -28,6 +28,7 @@
 #include "serve/model_store.hpp"
 #include "serve/protocol.hpp"
 #include "serve/serve_core.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 
@@ -92,7 +93,7 @@ TEST(ModelCow, CopyKeepsAnsweringFromTheForestItWasCopiedWith) {
 // Model store
 
 TEST(ModelStore, PublishLookupAndWildcardResolve) {
-  serve::ModelStore store(4);
+  serve::ModelStore store;
   EXPECT_EQ(store.size(), 0u);
   const serve::ModelKey exact{coll::Collective::Bcast, 32, "default"};
   const serve::ModelKey wildcard{coll::Collective::Bcast, 0, "default"};
@@ -121,7 +122,7 @@ TEST(ModelStore, PublishLookupAndWildcardResolve) {
 }
 
 TEST(ModelStore, RejectsUntrainedAndMismatchedModels) {
-  serve::ModelStore store(1);
+  serve::ModelStore store;
   EXPECT_THROW(store.publish({coll::Collective::Bcast, 0, "default"}, core::CollectiveModel{}),
                InvalidArgument);
   EXPECT_THROW(store.publish({coll::Collective::Allreduce, 0, "default"},
@@ -130,7 +131,7 @@ TEST(ModelStore, RejectsUntrainedAndMismatchedModels) {
 }
 
 TEST(ModelStore, RepublishKeepsOldSnapshotAliveForHolders) {
-  serve::ModelStore store(2);
+  serve::ModelStore store;
   const serve::ModelKey key{coll::Collective::Bcast, 0, "default"};
   store.publish(key, trained_model(coll::Collective::Bcast, 2.0));
   const auto old_snap = store.lookup(key);
@@ -147,7 +148,7 @@ TEST(ModelStore, RepublishKeepsOldSnapshotAliveForHolders) {
 }
 
 TEST(ModelStore, ConcurrentReadersNeverSeeATornSnapshot) {
-  serve::ModelStore store(2);
+  serve::ModelStore store;
   const serve::ModelKey key{coll::Collective::Bcast, 0, "default"};
   const core::CollectiveModel a = trained_model(coll::Collective::Bcast, 2.0);
   const core::CollectiveModel b = trained_model(coll::Collective::Bcast, -2.0);
@@ -191,7 +192,7 @@ TEST(ModelStore, ConcurrentReadersNeverSeeATornSnapshot) {
 TEST(ModelStore, ConcurrentPublishersNeverLeaveAnOlderVersionVisible) {
   // Racing publishers can fetch versions in one order and store in another;
   // the store must keep the highest version visible regardless.
-  serve::ModelStore store(2);
+  serve::ModelStore store;
   const serve::ModelKey key{coll::Collective::Bcast, 0, "default"};
   const core::CollectiveModel model = trained_model(coll::Collective::Bcast);
   std::atomic<std::uint64_t> max_version{0};
@@ -215,10 +216,10 @@ TEST(ModelStore, ConcurrentPublishersNeverLeaveAnOlderVersionVisible) {
 }
 
 TEST(ModelStore, WholeStoreReadsRaceSafelyWithPublishesToEveryShard) {
-  // size(), keys() and nearest() visit every shard while two publishers add
-  // keys to all of them. Keys are never erased, so a reader's count never
+  // size(), keys() and nearest() read the whole store while two publishers
+  // add keys to it. Keys are never erased, so a reader's count never
   // shrinks, and once one key is visible nearest() always finds a donor.
-  serve::ModelStore store(8);
+  serve::ModelStore store;
   const core::CollectiveModel model = trained_model(coll::Collective::Bcast);
   const std::vector<std::string> topologies = {"t0", "t1"};  // one publisher each
   constexpr int kKeysEach = 32;
@@ -348,7 +349,7 @@ TEST(DecisionCache, QuantizationIsLossless) {
 }
 
 TEST(DecisionCache, HitMissAndEvictionCounters) {
-  serve::DecisionCache cache(4, 1);  // one shard: LRU order is global
+  serve::DecisionCache cache(4);
   const auto key = [](std::uint64_t msg) {
     return serve::quantize(1, bench::Scenario{coll::Collective::Bcast, 2, 2, msg});
   };
@@ -370,22 +371,32 @@ TEST(DecisionCache, HitMissAndEvictionCounters) {
   EXPECT_EQ(st.misses, 2u);
 }
 
-TEST(DecisionCache, CapacityHoldsAcrossShards) {
-  serve::DecisionCache cache(64, 8);
-  for (std::uint64_t m = 1; m <= 1000; ++m) {
-    cache.put(serve::quantize(1, bench::Scenario{coll::Collective::Bcast, 2, 2, m}),
-              coll::Algorithm::BcastBinomial);
+TEST(DecisionCache, HoldsExactlyItsCapacity) {
+  for (const std::size_t capacity : {1, 5, 64, 100}) {
+    serve::DecisionCache cache(capacity);
+    for (std::uint64_t m = 1; m <= 1000; ++m) {
+      cache.put(serve::quantize(1, bench::Scenario{coll::Collective::Bcast, 2, 2, m}),
+                coll::Algorithm::BcastBinomial);
+    }
+    const auto st = cache.stats();
+    EXPECT_EQ(st.capacity, capacity);
+    EXPECT_EQ(st.entries, capacity);
+    EXPECT_EQ(st.evictions, 1000u - capacity);
   }
-  const auto st = cache.stats();
-  EXPECT_LE(st.entries, 64u);
-  EXPECT_GE(st.evictions, 1000u - 64u - 8u);  // slack: per-shard splits round up
+}
+
+TEST(DecisionCache, ZeroCapacityIsRejected) {
+  EXPECT_THROW(serve::DecisionCache{0}, InvalidArgument);
+  serve::ServeConfig cfg;
+  cfg.cache_capacity = 0;
+  EXPECT_THROW(serve::ServeCore{cfg}, InvalidArgument);
 }
 
 TEST(DecisionCache, ConcurrentGetsAndPutsKeepExactCounts) {
   // Four threads probe a shared hot set and stream cold keys through the
   // cache. Every get counts once as a hit or a miss, a hit returns what was
   // put for its key, and the entry budget holds.
-  serve::DecisionCache cache(256, 4);
+  serve::DecisionCache cache(256);
   const std::vector<coll::Algorithm> algs = coll::algorithms_for(coll::Collective::Bcast);
   const auto alg_for = [&](std::uint64_t msg) { return algs[msg % algs.size()]; };
   constexpr int kThreads = 4;
@@ -455,6 +466,40 @@ TEST(ServeCore, ServingMatchesDirectSelectionOnHitAndMissPaths) {
   const auto st = core.cache_stats();
   EXPECT_GT(st.hits, 0u);
   EXPECT_GT(st.misses, 0u);
+}
+
+TEST(ServeCore, SmallMissGroupsRunThroughTheFusedKernel) {
+  // A single-query miss and batches of one to three misses each score every
+  // scenario with one fused forest call: the answer is direct select()'s,
+  // and ml.forest.batched_rows grows by the scenario's candidate rows.
+  serve::ServeCore core;
+  const core::CollectiveModel model = trained_model(coll::Collective::Bcast);
+  core.publish({coll::Collective::Bcast, 0, "default"}, model);
+  const std::uint64_t n_algs = coll::algorithms_for(coll::Collective::Bcast).size();
+  const telemetry::Counter& rows = telemetry::metrics().counter("ml.forest.batched_rows");
+  std::uint64_t msg = 64;  // every scenario is new, so every query misses
+  const auto fresh = [&] { return bench::Scenario{coll::Collective::Bcast, 4, 4, msg++}; };
+
+  const bench::Scenario s = fresh();
+  std::uint64_t before = rows.value();
+  const serve::Decision d = core.select(s);
+  EXPECT_EQ(rows.value() - before, n_algs);
+  EXPECT_FALSE(d.cache_hit);
+  EXPECT_EQ(d.algorithm, model.select(s));
+
+  for (const std::uint64_t n : {1u, 2u, 3u}) {
+    std::vector<bench::Scenario> batch;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      batch.push_back(fresh());
+    }
+    before = rows.value();
+    const std::vector<serve::Decision> ds = core.select_batch(batch);
+    EXPECT_EQ(rows.value() - before, n * n_algs) << "batch of " << n;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_FALSE(ds[i].cache_hit);
+      EXPECT_EQ(ds[i].algorithm, model.select(batch[i])) << "batch of " << n;
+    }
+  }
 }
 
 TEST(ServeCore, SecondIdenticalQueryIsACacheHit) {

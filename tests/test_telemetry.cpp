@@ -354,6 +354,36 @@ TEST_F(TelemetryTest, ReaderNamesPathAndLineOfABadRecord) {
   }
 }
 
+// A line that is not JSON is named once, at the parser's column on that
+// line; a record that parses but fails its schema keeps the path:line:
+// prefix at column 1.
+TEST_F(TelemetryTest, ReaderNamesOneLocationWithTheParsersColumn) {
+  const std::string path = temp_path("trace_column.jsonl");
+  const std::string good = R"({"event":"model_refit","t_ms":1.0,"label":"bcast"})";
+  for (const std::string& bad : {std::string("{not json"), std::string(R"({"t_ms":1.0})")}) {
+    {
+      std::ofstream out(path);
+      out << good << "\n" << bad << "\n";
+    }
+    try {
+      telemetry::read_trace_file(path);
+      ADD_FAILURE() << "expected ParseError for " << bad;
+    } catch (const ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(e.line(), 2u);
+      EXPECT_EQ(what.find("(line"), what.rfind("(line")) << what;
+      if (bad == "{not json") {
+        EXPECT_EQ(what, path + ":2: expected '\"' (line 2, column 3)");
+        EXPECT_EQ(e.column(), 3u);
+      } else {
+        EXPECT_EQ(what.rfind(path + ":2: ", 0), 0u) << what;
+        EXPECT_EQ(e.column(), 1u);
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST_F(TelemetryTest, RingRejectsZeroCapacity) {
   EXPECT_THROW(telemetry::tracer().enable_ring(0), InvalidArgument);
   EXPECT_FALSE(telemetry::tracer().enabled());

@@ -98,7 +98,7 @@ finish() {
 run_tsan() {
   # The determinism/stress labels cover every parallel_for call site with
   # 2-8 thread pools, and test_serve covers the serving store's concurrent
-  # readers and publishers and the sharded decision cache; TSan on those
+  # readers and publishers and the decision cache; TSan on those
   # suites is the data-race gate. The thread counts in the tests don't
   # depend on the host's core count, so this is meaningful even on a 1-core
   # CI runner. ACCLAIM_THREADS is cleared so the environment cannot pin the
