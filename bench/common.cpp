@@ -8,9 +8,6 @@
 #include <iostream>
 #include <utility>
 
-#include "telemetry/audit.hpp"
-#include "telemetry/metrics.hpp"
-#include "telemetry/trace.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -143,97 +140,81 @@ double converge_time_s(const std::vector<SweepRow>& rows, double threshold) {
 }
 
 void banner(const std::string& figure, const std::string& claim) {
-  // ACCLAIM_TRACE=file.jsonl streams telemetry events from any figure
-  // harness without a rebuild. First banner() wins; tracing stays off (a
-  // single relaxed load per instrument site) when the variable is unset.
-  static const bool traced = [] {
-    const char* path = std::getenv("ACCLAIM_TRACE");
-    if (path != nullptr && *path != '\0') {
-      telemetry::tracer().open_stream(path);
-      std::cerr << "[telemetry] streaming trace to " << path << "\n";
-      return true;
-    }
-    return false;
-  }();
-  (void)traced;
   std::cout << "==============================================================\n"
             << figure << "\n"
             << claim << "\n"
             << "==============================================================\n";
 }
 
-BenchEnv::BenchEnv(int& argc, char** argv, std::string figure)
-    : figure_(std::move(figure)), start_(std::chrono::steady_clock::now()) {
-  int threads = 0;
-  int out = 1;  // argv[0] always survives
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (arg == "--threads" && has_value) {
-      const std::string value = argv[++i];
-      const std::optional<int> n = util::parse_thread_count(value);
-      if (!n) {
-        std::cerr << "error: flag '--threads' expects an integer in [1, " << util::kMaxThreads
-                  << "], got '" << value << "'\n";
-        std::exit(2);
-      }
-      threads = *n;
-    } else if (arg == "--metrics-out" && has_value) {
-      metrics_out_ = argv[++i];
-    } else if (arg == "--audit-out" && has_value) {
-      audit_out_ = argv[++i];
-    } else if (arg == "--json-out" && has_value) {
-      json_out_dir_ = argv[++i];
-    } else {
-      argv[out++] = argv[i];
-    }
+namespace {
+
+[[noreturn]] void usage_error(const std::string& message) {
+  std::cerr << "error: " << message << "\n";
+  std::exit(2);
+}
+
+/// Runs `step`, turning a library error into the benches' one-line usage
+/// error (exit 2).
+template <typename Step>
+auto or_usage_error(Step step) {
+  try {
+    return step();
+  } catch (const Error& e) {
+    usage_error(e.what());
   }
-  argc = out;
-  if (!json_out_dir_.empty() && figure_.empty()) {
-    std::cerr << "error: flag '--json-out' is not supported: this bench writes no result rows\n";
-    std::exit(2);
+}
+
+}  // namespace
+
+BenchEnv::BenchEnv(int argc, char** argv, std::string figure,
+                   const std::vector<std::string>& flags,
+                   const std::vector<std::string>& switches)
+    : args_(or_usage_error([&] {
+        std::vector<std::string> known = cli::with_run_flags(flags);
+        known.push_back("json-out");
+        return cli::Args(argc - 1, argv + 1, known, switches);
+      })),
+      figure_(std::move(figure)),
+      start_(std::chrono::steady_clock::now()) {
+  if (args_.has("json-out") && figure_.empty()) {
+    usage_error("flag '--json-out' is not supported: this bench writes no result rows");
   }
-  if (threads > 0) {
-    util::set_global_threads(threads);
-  }
-  if (!audit_out_.empty()) {
-    telemetry::audit().open_stream(audit_out_);
-    std::cerr << "[bench] streaming audit log to " << audit_out_ << "\n";
-  }
+  or_usage_error([&] { cli::open_run_outputs(args_); });
   std::cerr << "[bench] compute threads: " << util::global_threads() << "\n";
 }
 
+int BenchEnv::get_int(const std::string& flag, int fallback) const {
+  return or_usage_error([&] { return args_.get_int(flag, fallback); });
+}
+
+std::size_t BenchEnv::get_count(const std::string& flag, std::size_t fallback) const {
+  return or_usage_error([&] { return args_.get_count(flag, fallback); });
+}
+
+double BenchEnv::get_double(const std::string& flag, double fallback) const {
+  return or_usage_error([&] { return args_.get_double(flag, fallback); });
+}
+
 void BenchEnv::add_row(util::Json row) {
-  if (json_out_dir_.empty()) {
-    return;
+  if (args_.has("json-out")) {
+    rows_.push_back(std::move(row));
   }
-  rows_.push_back(std::move(row));
 }
 
 BenchEnv::~BenchEnv() {
-  if (!audit_out_.empty()) {
-    const std::size_t n = telemetry::audit().recorded();
-    telemetry::audit().disable();  // flushes and closes the stream
-    std::cerr << "[bench] wrote audit log to " << audit_out_ << " (" << n << " decisions)\n";
+  // The destructor must not throw, and a failed write must not turn a
+  // passing figure into a failing one: each failure is one stderr line.
+  try {
+    cli::finish_run_outputs(args_);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
   }
-  if (!metrics_out_.empty()) {
-    telemetry::publish_thread_pool_metrics();
-    try {
-      telemetry::metrics().dump_file(metrics_out_);
-      std::cerr << "[telemetry] wrote metrics to " << metrics_out_ << "\n";
-      // The destructor must not throw; the stderr note below is the
-      // handling (AC_LOG is not wired in bench).
-    } catch (const Error& e) {
-      std::cerr << "[telemetry] failed to write " << metrics_out_ << ": " << e.what() << "\n";
-    }
-  }
-  if (json_out_dir_.empty()) {
+  if (!args_.has("json-out")) {
     return;
   }
-  // Never let artifact writing turn a passing figure into a failing one —
-  // report and continue (the destructor also must not throw).
   try {
-    std::filesystem::create_directories(json_out_dir_);
+    const std::string dir = args_.get("json-out");
+    std::filesystem::create_directories(dir);
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
     util::Json doc = util::Json::object();
@@ -241,11 +222,9 @@ BenchEnv::~BenchEnv() {
     doc["threads"] = util::global_threads();
     doc["host_wall_s"] = wall_s;
     doc["rows"] = std::move(rows_);
-    const std::string path = json_out_dir_ + "/BENCH_" + figure_ + ".json";
+    const std::string path = dir + "/BENCH_" + figure_ + ".json";
     doc.dump_file(path);
     std::cerr << "[bench] wrote " << path << "\n";
-    // The destructor must not throw; the stderr note below is the
-    // handling.
   } catch (const std::exception& e) {
     std::cerr << "[bench] failed to write BENCH json: " << e.what() << "\n";
   }

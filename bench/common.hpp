@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "benchdata/dataset.hpp"
+#include "cli_args.hpp"
 #include "core/acquisition.hpp"
 #include "core/active_learner.hpp"
 #include "core/baselines.hpp"
@@ -72,40 +73,40 @@ double converge_time_s(const std::vector<SweepRow>& rows, double threshold = kCo
 /// Prints the standard figure banner.
 void banner(const std::string& figure, const std::string& claim);
 
-/// Shared bench flags, parsed first thing in every figure main:
-///   --threads N         size the global compute pool (default: hardware,
-///                       or the ACCLAIM_THREADS environment variable); N must
-///                       be an integer in [1, 1024], else the bench exits 2
-///   --metrics-out FILE  write a metrics-registry JSON snapshot on exit
-///                       (render with `acclaim report --metrics FILE`)
-///   --audit-out FILE    stream per-decision audit records (JSONL) for the
-///                       whole run (replay with `acclaim explain FILE`)
-///   --json-out DIR      write DIR/BENCH_<figure>.json on exit: figure id,
-///                       the key result rows the harness registered with
-///                       add_row(), and the host-wall runtime — the
-///                       machine-readable artifact CI tracks across PRs.
-///                       Only a harness constructed with a figure id writes
-///                       rows; any other exits 2 at start-up when given it
-/// Recognized flags (and their values) are consumed from argc/argv so
-/// figure-specific positional arguments (--ablation, --naive) keep working.
-/// The destructor publishes thread-pool stats and writes the snapshots.
+/// A bench's command line, parsed with cli::Args first thing in every bench
+/// main: the five run flags (cli::with_run_flags: --threads, --trace-out,
+/// --metrics-out, --audit-out, --profile-out), --json-out DIR, and the flags
+/// and switches the bench declares. --json-out writes DIR/BENCH_<figure>.json
+/// on exit: the figure id, the rows the bench registered with add_row(), and
+/// the host-wall runtime, the machine-readable artifact CI tracks across
+/// PRs; only a bench constructed with a figure id takes it. An unknown flag,
+/// a bad value or an output that cannot be opened exits 2 with one `error:`
+/// line. The destructor writes the run outputs (cli::finish_run_outputs) and
+/// the BENCH json.
 class BenchEnv {
  public:
   /// `figure` names the BENCH_<figure>.json artifact (e.g. "fig12"); empty
-  /// for a harness that registers no rows.
-  BenchEnv(int& argc, char** argv, std::string figure = {});
+  /// for a bench that registers no rows.
+  BenchEnv(int argc, char** argv, std::string figure = {},
+           const std::vector<std::string>& flags = {},
+           const std::vector<std::string>& switches = {});
   ~BenchEnv();
   BenchEnv(const BenchEnv&) = delete;
   BenchEnv& operator=(const BenchEnv&) = delete;
+
+  /// The bench's own flags and switches; a bad value exits 2 like an
+  /// unknown flag.
+  bool has(const std::string& flag) const { return args_.has(flag); }
+  int get_int(const std::string& flag, int fallback) const;
+  std::size_t get_count(const std::string& flag, std::size_t fallback) const;
+  double get_double(const std::string& flag, double fallback) const;
 
   /// Registers one machine-readable result row (a flat JSON object mirroring
   /// what the figure prints/CSVs). Cheap no-op when --json-out is off.
   void add_row(util::Json row);
 
  private:
-  std::string metrics_out_;
-  std::string audit_out_;
-  std::string json_out_dir_;
+  cli::Args args_;
   std::string figure_;
   util::Json rows_ = util::Json::array();
   std::chrono::steady_clock::time_point start_;

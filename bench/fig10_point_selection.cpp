@@ -7,7 +7,6 @@
 // --ablation additionally runs random acquisition and the paper-literal
 // argmax variant on the same primary model, isolating the value of the
 // variance guidance and of the weighted-sampling adaptation (DESIGN.md §5).
-#include <cstring>
 #include <iostream>
 #include <memory>
 
@@ -78,8 +77,8 @@ MethodResult run_method(coll::Collective c, PolicyFactory make_policy,
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchharness::BenchEnv bench_env(argc, argv, "fig10");
-  const bool ablation = argc > 1 && std::strcmp(argv[1], "--ablation") == 0;
+  benchharness::BenchEnv bench_env(argc, argv, "fig10", {}, {"ablation"});
+  const bool ablation = bench_env.has("ablation");
   benchharness::banner("Fig. 10: ACCLAiM vs FACT training point selection",
                        "Expectation: ACCLAiM converges faster cumulatively (~2.25x in the paper),"
                        " with per-collective wins and losses");

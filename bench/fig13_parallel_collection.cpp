@@ -7,7 +7,6 @@
 // --naive additionally runs the rack-sharing ablation scheduler: it packs
 // more benchmarks per batch but co-located runs interfere, inflating the
 // *measured* latencies — the §III-D hazard the greedy algorithm avoids.
-#include <cstring>
 #include <iostream>
 
 #include "common.hpp"
@@ -85,8 +84,8 @@ Replay replay(const std::vector<bench::BenchmarkPoint>& points, const simnet::To
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchharness::BenchEnv bench_env(argc, argv);
-  const bool naive = argc > 1 && std::strcmp(argv[1], "--naive") == 0;
+  benchharness::BenchEnv bench_env(argc, argv, {}, {}, {"naive"});
+  const bool naive = bench_env.has("naive");
   benchharness::banner(
       "Fig. 13: parallel data collection across placement topologies",
       naive ? "Ablation: naive rack-sharing scheduler (expect inflated measurements)"

@@ -14,7 +14,6 @@
 // scheduled CI lane parses it against tools/ci/fleet_thresholds.json.
 // Exits non-zero when the warm arm fails to beat the cold arm on total
 // training cost or mean speedup — the regression this bench exists to gate.
-#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -27,22 +26,6 @@
 using namespace acclaim;
 
 namespace {
-
-/// Consumes `--flag value` from argv (BenchEnv already took the shared
-/// flags; anything left here is fleet-specific).
-bool take_flag(int& argc, char** argv, const char* flag, std::string& value) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      value = argv[i + 1];
-      for (int j = i; j + 2 < argc; ++j) {
-        argv[j] = argv[j + 2];
-      }
-      argc -= 2;
-      return true;
-    }
-  }
-  return false;
-}
 
 fleet::FleetConfig base_config(int jobs, std::uint64_t seed) {
   fleet::FleetConfig config;
@@ -79,17 +62,9 @@ util::Json arm_row(const std::string& arm, const fleet::FleetResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchharness::BenchEnv bench_env(argc, argv, "fleet");
-
-  std::string value;
-  int jobs = 1000;
-  if (take_flag(argc, argv, "--jobs", value)) {
-    jobs = std::stoi(value);
-  }
-  std::uint64_t seed = 7;
-  if (take_flag(argc, argv, "--seed", value)) {
-    seed = static_cast<std::uint64_t>(std::stoull(value));
-  }
+  benchharness::BenchEnv bench_env(argc, argv, "fleet", {"jobs", "seed"});
+  const int jobs = static_cast<int>(bench_env.get_count("jobs", 1000));
+  const auto seed = static_cast<std::uint64_t>(bench_env.get_int("seed", 7));
 
   benchharness::banner(
       "Fleet replay: warm-start model transfer vs cold start (" + std::to_string(jobs) + " jobs)",

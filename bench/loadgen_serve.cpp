@@ -19,15 +19,13 @@
 // CollectiveModel::select on the published model. Any mismatch fails the
 // binary (exit 1).
 //
-// Flags (after the shared BenchEnv set: --threads/--metrics-out/
-// --audit-out/--json-out):
-//   --queries N        total queries to replay (default 1,200,000)
-//   --batch B          scenarios per batch request (default 64)
+// Flags (besides BenchEnv's run flags and --json-out):
+//   --queries N        total queries to replay, >= 1 (default 1,200,000)
+//   --batch B          scenarios per batch request, >= 1 (default 64)
 //   --trace-frac F     fraction of queries drawn from traces (default 0.5)
-//   --cache-capacity N decision-cache entries (default 65536)
+//   --cache-capacity N decision-cache entries, >= 1 (default 65536)
 //   --seed K           RNG seed (default 42)
 #include <cmath>
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <set>
@@ -40,7 +38,6 @@
 #include "serve/serve_core.hpp"
 #include "telemetry/metrics.hpp"
 #include "traces/traces.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 
@@ -77,36 +74,6 @@ core::CollectiveModel loadgen_model(coll::Collective c) {
   return model;
 }
 
-std::uint64_t flag_u64(int argc, char** argv, const char* flag, std::uint64_t def) {
-  for (int i = 0; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(argv[i + 1], &end, 10);
-      if (end == argv[i + 1] || *end != '\0') {
-        throw acclaim::InvalidArgument(std::string(flag) + " expects an integer, got '" +
-                                       argv[i + 1] + "'");
-      }
-      return v;
-    }
-  }
-  return def;
-}
-
-double flag_double(int argc, char** argv, const char* flag, double def) {
-  for (int i = 0; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      char* end = nullptr;
-      const double v = std::strtod(argv[i + 1], &end);
-      if (end == argv[i + 1] || *end != '\0') {
-        throw acclaim::InvalidArgument(std::string(flag) + " expects a number, got '" +
-                                       argv[i + 1] + "'");
-      }
-      return v;
-    }
-  }
-  return def;
-}
-
 using ScenarioKey = std::tuple<int, int, int, std::uint64_t>;
 
 ScenarioKey key_of(const bench::Scenario& s) {
@@ -116,13 +83,13 @@ ScenarioKey key_of(const bench::Scenario& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchharness::BenchEnv env(argc, argv, "serve");
-  const std::uint64_t total_queries = flag_u64(argc, argv, "--queries", 1'200'000);
-  const std::size_t batch = static_cast<std::size_t>(flag_u64(argc, argv, "--batch", 64));
-  const double trace_frac = flag_double(argc, argv, "--trace-frac", 0.5);
-  const std::size_t cache_capacity =
-      static_cast<std::size_t>(flag_u64(argc, argv, "--cache-capacity", 1 << 16));
-  const std::uint64_t seed = flag_u64(argc, argv, "--seed", 42);
+  benchharness::BenchEnv env(argc, argv, "serve",
+                            {"queries", "batch", "trace-frac", "cache-capacity", "seed"});
+  const std::uint64_t total_queries = env.get_count("queries", 1'200'000);
+  const std::size_t batch = env.get_count("batch", 64);
+  const double trace_frac = env.get_double("trace-frac", 0.5);
+  const std::size_t cache_capacity = env.get_count("cache-capacity", 1 << 16);
+  const auto seed = static_cast<std::uint64_t>(env.get_int("seed", 42));
 
   benchharness::banner("loadgen_serve",
                        "acclaimd serving path sustains millions of queries; cache hits and "

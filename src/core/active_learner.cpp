@@ -11,7 +11,6 @@
 #include "telemetry/trace.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace acclaim::core {
 
@@ -43,9 +42,6 @@ void ActiveLearner::set_warm_start(WarmStart warm) {
 
 TrainingResult ActiveLearner::run() {
   const telemetry::Span span("learner.run");
-  if (config_.threads > 0) {
-    util::set_global_threads(config_.threads);
-  }
   const std::vector<bench::BenchmarkPoint> candidates = space_.candidates(collective_);
   std::vector<bench::BenchmarkPoint> pool = candidates;
   const std::size_t cap = config_.max_points < 0

@@ -43,12 +43,6 @@ struct ActiveLearnerConfig {
   /// Convergence cannot fire before this many points are collected (guards
   /// against spuriously calm variance in the cold-start region).
   int min_points = 60;
-  /// Size of the compute thread pool used for forest fits, jackknife
-  /// sweeps, and acquisition scoring. 0 leaves the global pool as it is
-  /// (default: hardware concurrency, or the ACCLAIM_THREADS environment
-  /// variable). Any value yields bitwise-identical models — the per-tree
-  /// RNG streams are derived from `seed`, not from the schedule.
-  int threads = 0;
   std::uint64_t seed = 1;
 };
 

@@ -45,6 +45,8 @@ void RuleTable::set_bucket(BucketKey key, std::vector<SelectionRule> rules) {
 coll::Algorithm RuleTable::lookup(const bench::Scenario& s) const {
   require(s.collective == collective_, "scenario collective does not match rule table");
   require(!buckets_.empty(), "rule table has no buckets");
+  // The log2 distance below is finite only for positive scales.
+  require(s.nnodes >= 1 && s.ppn >= 1, "rule lookup needs nnodes >= 1 and ppn >= 1");
   // Exact bucket, else nearest in log2 space (ties -> smaller key, which
   // std::map iteration order provides).
   const BucketKey want{s.nnodes, s.ppn};
@@ -75,6 +77,7 @@ coll::Algorithm RuleTable::lookup(const bench::Scenario& s) const {
 void RuleTable::validate() const {
   require(!buckets_.empty(), "rule table has no buckets");
   for (const auto& [key, rules] : buckets_) {
+    require(key.nnodes >= 1 && key.ppn >= 1, "rule bucket needs nnodes >= 1 and ppn >= 1");
     require(!rules.empty(), "empty rule bucket");
     require(rules.back().msg_le == kRuleMax,
             "rule set is not complete: terminal rule must cover all sizes");

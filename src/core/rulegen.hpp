@@ -52,11 +52,13 @@ class RuleTable {
 
   /// Selects for a scenario: exact (nodes, ppn) bucket if present, else the
   /// nearest bucket in log2 space; then first rule with msg <= msg_le.
+  /// Throws InvalidArgument for a scenario with nnodes or ppn below 1.
   coll::Algorithm lookup(const bench::Scenario& s) const;
 
-  /// Checks invariants: non-empty buckets, strictly increasing msg_le,
-  /// terminal kRuleMax rule ("complete"), and no two consecutive rules with
-  /// the same algorithm ("pruned"). Throws InvalidArgument on violation.
+  /// Checks invariants: buckets at nnodes and ppn >= 1, non-empty buckets,
+  /// strictly increasing msg_le, terminal kRuleMax rule ("complete"), and
+  /// no two consecutive rules with the same algorithm ("pruned"). Throws
+  /// InvalidArgument on violation.
   void validate() const;
 
  private:

@@ -251,10 +251,7 @@ void prom_value(std::string& out, double v) {
 
 }  // namespace
 
-std::string prometheus_text(const MetricsRegistry& registry) {
-  // Built from the JSON snapshot rather than the live instruments so the
-  // exposition and --metrics-out always agree on one consistent read.
-  const util::Json snap = registry.to_json();
+std::string prometheus_text(const util::Json& snap) {
   std::string out;
 
   for (const auto& [name, value] : snap.at("counters").as_object()) {

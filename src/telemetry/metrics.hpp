@@ -155,12 +155,13 @@ struct BucketSlice {
 double percentile_from_buckets(const std::vector<BucketSlice>& buckets, std::uint64_t count,
                                double min_v, double max_v, double p);
 
-/// Prometheus text-format (version 0.0.4) exposition of a registry snapshot:
+/// Prometheus text-format (version 0.0.4) exposition of a registry snapshot
+/// (MetricsRegistry::to_json, or a --metrics-out file read back):
 /// counters as `acclaim_<name>_total`, gauges as `acclaim_<name>`, histograms
 /// as the cumulative `_bucket{le=...}` / `_sum` / `_count` series, each with a
 /// `# TYPE` line. Instrument names are sanitized ('.' and '-' become '_').
-/// The CLI's --prom-out flag writes this output to a file.
-std::string prometheus_text(const MetricsRegistry& registry);
+/// `acclaim report --metrics FILE --prom-out OUT` writes this output.
+std::string prometheus_text(const util::Json& snapshot);
 
 /// Copies the global thread pool's usage counters into the registry as
 /// gauges (threadpool.threads, .tasks_executed, .parallel_fors,

@@ -9,8 +9,8 @@
 //  * folded stacks ("a;b;c <self_us>" lines) consumable by flamegraph.pl /
 //    speedscope — the standard "where did the time go" artifact;
 //  * via telemetry::prometheus_text (metrics.hpp), the registry in the
-//    Prometheus text format, which `acclaim train|tune-job --prom-out FILE`
-//    writes.
+//    Prometheus text format, which `acclaim report --metrics FILE
+//    --prom-out OUT` renders from a run's metrics snapshot.
 //
 // Disabled by default: a span then costs one relaxed atomic load and one
 // steady-clock read. Host-wall attribution is observability-only — it never

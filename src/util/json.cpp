@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -340,7 +341,11 @@ class Parser {
       case 't': expect_word("true"); return Json(true);
       case 'f': expect_word("false"); return Json(false);
       case 'n': expect_word("null"); return Json(nullptr);
-      default: return parse_number();
+      default:
+        if (c != '-' && !std::isdigit(static_cast<unsigned char>(c))) {
+          fail(std::string("unexpected character '") + c + "'");
+        }
+        return parse_number();
     }
   }
 

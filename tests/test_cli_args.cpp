@@ -1,4 +1,5 @@
-// Unit tests for the CLI flag parser and the figure benches' shared flags.
+// Unit tests for the one flag parser (cli::Args) and the benches' BenchEnv
+// on top of it.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -14,13 +15,26 @@ namespace {
 using acclaim::cli::Args;
 using acclaim::cli::split_csv;
 
-Args parse(std::vector<std::string> tokens, const std::vector<std::string>& known) {
+Args parse(std::vector<std::string> tokens, const std::vector<std::string>& known,
+           const std::vector<std::string>& switches = {}, const std::string& positional = {}) {
   std::vector<char*> argv;
   argv.reserve(tokens.size());
   for (auto& t : tokens) {
     argv.push_back(t.data());
   }
-  return Args(static_cast<int>(argv.size()), argv.data(), known);
+  return Args(static_cast<int>(argv.size()), argv.data(), known, switches, positional);
+}
+
+/// The InvalidArgument message `read` throws; fails the test if none.
+template <typename Read>
+std::string usage_error(Read read) {
+  try {
+    read();
+  } catch (const acclaim::InvalidArgument& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected InvalidArgument";
+  return {};
 }
 
 TEST(CliArgs, ParsesFlagValuePairs) {
@@ -143,15 +157,67 @@ TEST(CliArgs, CountFlagAcceptsOnlyPositiveIntegers) {
   EXPECT_EQ(parse({}, {"cache-capacity"}).get_count("cache-capacity", 8), 8u);  // absent
 }
 
-/// Runs the figure benches' flag parsing over `tokens` (argv[0] first).
+// fig10's --ablation and fig13's --naive: a switch takes no value.
+TEST(CliArgs, SwitchSetsHasAndTakesNoValue) {
+  const Args args = parse({"--ablation", "--seed", "3"}, {"seed"}, {"ablation", "naive"});
+  EXPECT_TRUE(args.has("ablation"));
+  EXPECT_FALSE(args.has("naive"));
+  EXPECT_EQ(args.get_int("seed", 1), 3);
+  // What follows a switch is the next flag, never its value.
+  EXPECT_NE(usage_error([] { parse({"--ablation", "yes"}, {}, {"ablation"}); }).find("'yes'"),
+            std::string::npos);
+}
+
+// `acclaim report TRACE` and `acclaim explain AUDIT`.
+TEST(CliArgs, LeadingPositionalSetsItsFlag) {
+  const Args args = parse({"t.jsonl", "--rows", "3"}, {"trace", "rows"}, {}, "trace");
+  EXPECT_EQ(args.get("trace"), "t.jsonl");
+  EXPECT_EQ(args.get_int("rows", 12), 3);
+  EXPECT_EQ(parse({"--trace", "u.jsonl"}, {"trace"}, {}, "trace").get("trace"), "u.jsonl");
+  EXPECT_FALSE(parse({}, {"trace"}, {}, "trace").has("trace"));
+  const std::string both = usage_error(
+      [] { parse({"t.jsonl", "--trace", "u.jsonl"}, {"trace"}, {}, "trace"); });
+  EXPECT_NE(both.find("--trace"), std::string::npos) << both;
+  // Only the leading token may be positional, and only where one is declared.
+  EXPECT_THROW(parse({"--rows", "3", "t.jsonl"}, {"trace", "rows"}, {}, "trace"),
+               acclaim::InvalidArgument);
+  EXPECT_THROW(parse({"t.jsonl"}, {"trace"}), acclaim::InvalidArgument);
+}
+
+// `acclaim fleet --warm`, `acclaim collect --nonp2`: anything but yes or no
+// used to run as "no".
+TEST(CliArgs, YesNoFlagAcceptsOnlyYesOrNo) {
+  EXPECT_TRUE(parse({"--warm", "yes"}, {"warm"}).get_yes_no("warm", false));
+  EXPECT_FALSE(parse({"--warm", "no"}, {"warm"}).get_yes_no("warm", true));
+  EXPECT_TRUE(parse({}, {"warm"}).get_yes_no("warm", true));
+  for (const char* bad : {"maybe", "YES", ""}) {
+    const Args args = parse({"--warm", bad}, {"warm"});
+    const std::string msg = usage_error([&] { args.get_yes_no("warm", true); });
+    EXPECT_NE(msg.find("--warm"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(std::string("'") + bad + "'"), std::string::npos) << msg;
+  }
+}
+
+// `acclaim fleet --node-choices 4,x` used to abort through std::stoi.
+TEST(CliArgs, CountListFlagAcceptsOnlyPositiveIntegers) {
+  EXPECT_EQ(parse({"--node-choices", "4,8,16"}, {"node-choices"}).get_counts("node-choices", {}),
+            (std::vector<int>{4, 8, 16}));
+  EXPECT_EQ(parse({}, {"node-choices"}).get_counts("node-choices", {2}), (std::vector<int>{2}));
+  for (const char* bad : {"4,x", "4,0", ","}) {
+    const Args args = parse({"--node-choices", bad}, {"node-choices"});
+    const std::string msg = usage_error([&] { args.get_counts("node-choices", {}); });
+    EXPECT_NE(msg.find("--node-choices"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(std::string("'") + bad + "'"), std::string::npos) << msg;
+  }
+}
+
+/// Runs the benches' flag parsing over `tokens` (argv[0] first).
 int bench_env_threads(std::vector<std::string> tokens) {
   std::vector<char*> argv;
   for (auto& t : tokens) {
     argv.push_back(t.data());
   }
-  int argc = static_cast<int>(argv.size());
-  const acclaim::benchharness::BenchEnv env(argc, argv.data());
-  EXPECT_EQ(argc, 1) << "BenchEnv must consume --threads and its value";
+  const acclaim::benchharness::BenchEnv env(static_cast<int>(argv.size()), argv.data());
   return acclaim::util::global_threads();
 }
 
@@ -174,18 +240,23 @@ TEST(BenchEnvDeathTest, RejectsJsonOutWithoutAFigure) {
               ::testing::ExitedWithCode(2), "--json-out");
 }
 
+// Regression: every bench ran with a mistyped flag and ignored it.
+TEST(BenchEnvDeathTest, RejectsAnUnknownFlag) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(bench_env_threads({"fig", "--thread", "2"}), ::testing::ExitedWithCode(2),
+              "error: unknown flag '--thread'");
+}
+
 TEST(BenchEnv, FigureBenchWritesItsJsonOut) {
   std::vector<std::string> tokens = {"fig", "--json-out", testing::TempDir()};
   std::vector<char*> argv;
   for (auto& t : tokens) {
     argv.push_back(t.data());
   }
-  int argc = static_cast<int>(argv.size());
   const std::string path = testing::TempDir() + "/BENCH_unit.json";
   std::remove(path.c_str());
   {
-    acclaim::benchharness::BenchEnv env(argc, argv.data(), "unit");
-    EXPECT_EQ(argc, 1) << "BenchEnv must consume --json-out and its value";
+    acclaim::benchharness::BenchEnv env(static_cast<int>(argv.size()), argv.data(), "unit");
     env.add_row(acclaim::util::Json::object());
   }
   const acclaim::util::Json doc = acclaim::util::Json::parse_file(path);

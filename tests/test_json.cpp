@@ -97,6 +97,21 @@ TEST(Json, MalformedAndOutOfRangeNumbersAreParseErrors) {
   }
 }
 
+// Regression: every character but { [ " t f n went to the number parser,
+// so `a` was reported as `invalid number ''`, and std::stod let `+1` and
+// `.5` through although JSON has neither.
+TEST(Json, AValueStartingWithAnotherCharacterIsNamed) {
+  for (const std::string text : {"a", "+1", ".5", "inf"}) {
+    try {
+      Json::parse(text);
+      ADD_FAILURE() << text << " parsed";
+    } catch (const acclaim::ParseError& e) {
+      const std::string want = std::string("unexpected character '") + text[0] + "'";
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(Json, TypeMismatchThrows) {
   const Json j = Json::parse("[1,2,3]");
   EXPECT_THROW(j.as_object(), acclaim::InvalidArgument);

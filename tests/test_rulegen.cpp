@@ -44,6 +44,39 @@ TEST(RuleTable, LookupFallsBackToNearestBucket) {
             Algorithm::BcastScatterRingAllgather);
 }
 
+// Regression: lookup picks the nearest bucket by log2 distance, which is
+// inf or NaN at a scale below 1, so no bucket won and it dereferenced
+// end(): `acclaim select --nodes 0` crashed.
+TEST(RuleTable, LookupRejectsAScenarioBelowOneNodeOrRank) {
+  const RuleTable t = tiny_table();
+  for (const Scenario& s : {Scenario{Collective::Bcast, 0, 2, 64},
+                            Scenario{Collective::Bcast, -4, 2, 64},
+                            Scenario{Collective::Bcast, 4, 0, 64}}) {
+    try {
+      t.lookup(s);
+      ADD_FAILURE() << s.to_string() << " was looked up";
+    } catch (const InvalidArgument& e) {
+      EXPECT_STREQ(e.what(), "rule lookup needs nnodes >= 1 and ppn >= 1");
+    }
+  }
+}
+
+// The same crash from the file side: a rules file whose only bucket sits at
+// nnodes 0 or -2 loaded, and every lookup against it crashed.
+TEST(SelectionEngine, RejectsARuleBucketBelowOneNodeOrRank) {
+  for (const char* scale : {R"("nnodes": 0, "ppn": 4)", R"("nnodes": -2, "ppn": 4)",
+                            R"("nnodes": 4, "ppn": 0)"}) {
+    const std::string doc = std::string(R"({"format": "acclaim-coll-tuning-v1",
+        "collectives": {"bcast": [{)") + scale + R"(, "rules": [{"algorithm": "binomial"}]}]}})";
+    try {
+      core::SelectionEngine::from_json(util::Json::parse(doc));
+      ADD_FAILURE() << scale << " loaded";
+    } catch (const InvalidArgument& e) {
+      EXPECT_STREQ(e.what(), "rule bucket needs nnodes >= 1 and ppn >= 1");
+    }
+  }
+}
+
 TEST(RuleTable, ValidateCatchesIncompleteAndUnprunedSets) {
   RuleTable incomplete(Collective::Bcast);
   incomplete.set_bucket(BucketKey{4, 2}, {{1024, Algorithm::BcastBinomial}});

@@ -567,6 +567,30 @@ TEST_F(TelemetryTest, WriteChromeTraceRoundTripsThroughTheParser) {
   }
 }
 
+// `acclaim report --trace T --chrome-out C` is the one chrome://tracing
+// writer: converting a streamed trace read back must equal converting the
+// in-memory ring of the same events.
+TEST_F(TelemetryTest, ChromeTraceOfTheRingEqualsTheStreamedTraceReadBack) {
+  const std::string path = temp_path("trace_chrome_rt.jsonl");
+  telemetry::Tracer& tr = telemetry::tracer();
+  tr.enable_ring(1 << 10);
+  tr.open_stream(path);
+  std::vector<TraceEvent> events = synthetic_trace();
+  TraceEvent run = make_event(EventKind::BenchmarkRun, "bcast \"slot\"");
+  run.fields["slot"] = 2;
+  run.fields["wall_ms"] = 0.1 + 0.2;
+  events.push_back(std::move(run));
+  for (TraceEvent& ev : events) {
+    tr.record(std::move(ev));  // stamps t_ms from the host clock
+  }
+  tr.close_stream();
+  const std::string from_ring = telemetry::chrome_trace_json(tr.ring_snapshot()).dump(2);
+  const std::string from_file =
+      telemetry::chrome_trace_json(telemetry::read_trace_file(path)).dump(2);
+  std::remove(path.c_str());
+  EXPECT_EQ(from_ring, from_file);
+}
+
 // Golden schema contract for the chrome://tracing export. chrome://tracing
 // and Perfetto silently drop (or worse, misrender) events that violate the
 // trace-event format, so the exporter pins it here: every event carries
@@ -615,7 +639,7 @@ TEST_F(TelemetryTest, PrometheusTextExposesAllInstrumentKinds) {
   h.observe(1.5);   // finite bucket (le 2)
   h.observe(100.0); // overflow bucket -> +Inf only
 
-  const std::string text = telemetry::prometheus_text(reg);
+  const std::string text = telemetry::prometheus_text(reg.to_json());
   // Names are sanitized ('.' -> '_') and prefixed; counters get _total.
   EXPECT_NE(text.find("# TYPE acclaim_prom_runs_total counter\n"), std::string::npos);
   EXPECT_NE(text.find("acclaim_prom_runs_total 3\n"), std::string::npos);
@@ -627,6 +651,25 @@ TEST_F(TelemetryTest, PrometheusTextExposesAllInstrumentKinds) {
   EXPECT_NE(text.find("acclaim_prom_lat_us_bucket{le=\"+Inf\"} 2\n"), std::string::npos);
   EXPECT_NE(text.find("acclaim_prom_lat_us_sum 101.5\n"), std::string::npos);
   EXPECT_NE(text.find("acclaim_prom_lat_us_count 2\n"), std::string::npos);
+}
+
+// `acclaim report --metrics M --prom-out P` is the one Prometheus writer:
+// rendering a --metrics-out file read back must equal rendering the live
+// registry it was dumped from.
+TEST_F(TelemetryTest, PrometheusTextOfADumpedSnapshotEqualsTheLiveRender) {
+  telemetry::MetricsRegistry& reg = telemetry::metrics();
+  reg.counter("prom.rt.runs").add(12345678901ull);
+  reg.gauge("prom.rt.level").set(0.1 + 0.2);
+  reg.gauge("prom.rt-small").set(-2.75e-7);
+  telemetry::Histogram& h = reg.histogram("prom.rt.lat_us", {1e-3, 8});
+  for (double v : {0.0004, 0.0031, 0.017, 0.1 + 0.2, 1e9}) {
+    h.observe(v);
+  }
+  const std::string path = temp_path("metrics_prom_rt.json");
+  reg.dump_file(path);
+  const util::Json back = telemetry::load_metrics_snapshot(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(telemetry::prometheus_text(back), telemetry::prometheus_text(reg.to_json()));
 }
 
 // --- self-profiler ----------------------------------------------------------

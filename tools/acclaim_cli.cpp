@@ -11,13 +11,19 @@
 //   select     --rules FILE --collective C --nodes N --ppn P --msg SIZE
 //              resolve one scenario through a generated rule file
 //   inspect    --dataset FILE           dataset summary (per collective)
-//   report     TRACE.jsonl              render a run report from a telemetry trace
+//   report     TRACE.jsonl              render a run report from a telemetry trace,
+//              and convert a run's trace and metrics for chrome://tracing and
+//              Prometheus
 //   explain    AUDIT.jsonl              replay a decision audit log (--audit-out)
+//   serve, query, fleet                 acclaimd daemon, its client, fleet replay
 //   breakeven  --training SECONDS --speedup S
 //              minimum application runtime that amortizes training (Fig. 15)
-#include <iostream>
+//
+// Every subcommand parses its flags with cli::Args; train, tune-job, serve
+// and fleet also take the five run flags (cli_args.hpp).
 #include <algorithm>
 #include <fstream>
+#include <iostream>
 #include <set>
 #include <string>
 
@@ -35,14 +41,12 @@
 #include "serve/protocol.hpp"
 #include "telemetry/audit.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/profiler.hpp"
 #include "telemetry/report.hpp"
 #include "telemetry/trace.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace {
@@ -76,7 +80,7 @@ std::vector<coll::Collective> collectives_from(const std::string& csv) {
   return out;
 }
 
-int cmd_collectives() {
+int cmd_collectives(const cli::Args& /*takes no flags*/) {
   util::TablePrinter table({"collective", "algorithms", "P2-favoring"});
   for (coll::Collective c : coll::all_collectives()) {
     std::string algs;
@@ -101,7 +105,7 @@ int cmd_collect(const cli::Args& args) {
   const std::string out = args.require_flag("out");
   const auto collectives = collectives_from(args.get("collectives", "bcast"));
   bench::FeatureGrid grid = bench::FeatureGrid::p2(nodes, ppn, min_msg, max_msg);
-  if (args.get("nonp2", "yes") == "yes") {
+  if (args.get_yes_no("nonp2", true)) {
     util::Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 7)));
     const bench::FeatureGrid np2 = grid.with_nonp2_msgs(rng);
     grid.msgs.insert(grid.msgs.end(), np2.msgs.begin(), np2.msgs.end());
@@ -121,74 +125,8 @@ int cmd_collect(const cli::Args& args) {
   return 0;
 }
 
-// Shared --trace-out / --metrics-out / --chrome-out / --audit-out /
-// --profile-out / --prom-out / --threads handling for the training commands.
-// open_telemetry must run before any instrumented work; finish_telemetry
-// flushes the metrics snapshot, closes the trace and audit streams, converts
-// the run's events to a chrome://tracing document, and writes the profiler
-// and Prometheus expositions afterwards.
-void open_telemetry(const cli::Args& args) {
-  if (args.has("threads")) {
-    util::set_global_threads(args.get_threads("threads"));
-  }
-  if (args.has("trace-out")) {
-    telemetry::tracer().open_stream(args.get("trace-out"));
-  }
-  if (args.has("chrome-out")) {
-    // The chrome export folds the in-memory ring, so it works with or
-    // without a JSON-lines stream destination.
-    telemetry::tracer().enable_ring(1 << 20);
-  }
-  if (args.has("audit-out")) {
-    telemetry::audit().open_stream(args.get("audit-out"));
-  }
-  if (args.has("profile-out")) {
-    telemetry::profiler().enable();
-  }
-}
-
-void finish_telemetry(const cli::Args& args) {
-  if (args.has("metrics-out")) {
-    const std::string path = args.get("metrics-out");
-    telemetry::publish_thread_pool_metrics();
-    telemetry::metrics().dump_file(path);
-    std::cout << "wrote metrics to " << path << "\n";
-  }
-  if (args.has("prom-out")) {
-    const std::string path = args.get("prom-out");
-    telemetry::publish_thread_pool_metrics();
-    std::ofstream out(path, std::ios::trunc);
-    if (!out) {
-      throw IoError("cannot open " + path);
-    }
-    out << telemetry::prometheus_text(telemetry::metrics());
-    std::cout << "wrote Prometheus exposition to " << path << "\n";
-  }
-  if (args.has("chrome-out")) {
-    const std::string path = args.get("chrome-out");
-    telemetry::write_chrome_trace(telemetry::tracer().ring_snapshot(), path);
-    std::cout << "wrote chrome trace to " << path << " (open via chrome://tracing)\n";
-  }
-  if (args.has("trace-out")) {
-    telemetry::tracer().close_stream();
-    std::cout << "wrote trace to " << args.get("trace-out") << "\n";
-  }
-  if (args.has("audit-out")) {
-    const std::uint64_t n = telemetry::audit().recorded();
-    telemetry::audit().close_stream();
-    std::cout << "wrote audit log to " << args.get("audit-out") << " (" << n
-              << " decisions; inspect with `acclaim explain`)\n";
-  }
-  if (args.has("profile-out")) {
-    const std::string path = args.get("profile-out");
-    telemetry::profiler().write_folded(path);
-    std::cout << "wrote folded stacks to " << path
-              << " (feed to flamegraph.pl or speedscope)\n";
-  }
-}
-
 int cmd_train(const cli::Args& args) {
-  open_telemetry(args);
+  cli::open_run_outputs(args);
   const bench::Dataset ds = bench::Dataset::load(args.require_flag("dataset"));
   const coll::Collective c = coll::parse_collective(args.get("collective", "bcast"));
   // Recover the P2 axes from the dataset itself.
@@ -217,7 +155,6 @@ int cmd_train(const cli::Args& args) {
   core::ActiveLearnerConfig cfg;
   cfg.forest.n_trees = args.get_int("trees", 50);
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  cfg.threads = args.get_threads("threads");
   if (args.has("max-points")) {
     cfg.max_points = args.get_int("max-points", -1);
   }
@@ -238,12 +175,12 @@ int cmd_train(const cli::Args& args) {
     core::rules_to_json({table}).dump_file(args.get("rules"));
     std::cout << "wrote rules to " << args.get("rules") << "\n";
   }
-  finish_telemetry(args);
+  cli::finish_run_outputs(args);
   return 0;
 }
 
 int cmd_tune_job(const cli::Args& args) {
-  open_telemetry(args);
+  cli::open_run_outputs(args);
   core::JobSpec spec;
   spec.nnodes = args.get_int("nodes", 32);
   spec.ppn = args.get_int("ppn", 16);
@@ -254,7 +191,6 @@ int cmd_tune_job(const cli::Args& args) {
   core::ActiveLearnerConfig learner;
   learner.forest.n_trees = args.get_int("trees", 50);
   learner.max_points = args.get_int("max-points", 250);
-  learner.threads = args.get_threads("threads");
   const core::AcclaimPipeline pipeline(machine_by_name(args.get("machine", "theta")), learner);
   const core::PipelineResult result = pipeline.run(spec);
   util::TablePrinter table({"collective", "points", "time", "converged"});
@@ -267,35 +203,24 @@ int cmd_tune_job(const cli::Args& args) {
   const std::string out = args.get("rules", "acclaim_tuning.json");
   result.config.dump_file(out);
   std::cout << "wrote " << out << "\n";
-  finish_telemetry(args);
+  cli::finish_run_outputs(args);
   return 0;
 }
 
 int cmd_fleet(const cli::Args& args) {
-  open_telemetry(args);
   fleet::FleetConfig config;
   config.machine = machine_by_name(args.get("machine", "bebop"));
-  config.stream.n_jobs = args.get_int("jobs", 100);
-  config.stream.mean_interarrival_s = std::stod(args.get("mean-interarrival", "45"));
+  config.stream.n_jobs = static_cast<int>(args.get_count("jobs", 100));
+  config.stream.mean_interarrival_s = args.get_double("mean-interarrival", 45.0);
   config.stream.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
-  if (args.has("node-choices")) {
-    config.stream.node_choices.clear();
-    for (const std::string& n : cli::split_csv(args.get("node-choices"))) {
-      config.stream.node_choices.push_back(std::stoi(n));
-    }
-  }
-  if (args.has("ppn-choices")) {
-    config.stream.ppn_choices.clear();
-    for (const std::string& p : cli::split_csv(args.get("ppn-choices"))) {
-      config.stream.ppn_choices.push_back(std::stoi(p));
-    }
-  }
-  config.warm_start = args.get("warm", "yes") == "yes";
-  config.max_transfer_distance = std::stod(args.get("max-distance", "8"));
+  config.stream.node_choices = args.get_counts("node-choices", config.stream.node_choices);
+  config.stream.ppn_choices = args.get_counts("ppn-choices", config.stream.ppn_choices);
+  config.warm_start = args.get_yes_no("warm", true);
+  config.max_transfer_distance = args.get_double("max-distance", 8.0);
   config.collectives_per_job = args.get_int("collectives-per-job", 2);
   config.learner.forest.n_trees = args.get_int("trees", 20);
   config.learner.max_points = args.get_int("max-points", 90);
-  config.learner.threads = args.get_threads("threads");
+  cli::open_run_outputs(args);
 
   serve::ModelStore store;
   const fleet::FleetResult result = fleet::replay_fleet(config, store);
@@ -342,15 +267,24 @@ int cmd_fleet(const cli::Args& args) {
     doc.dump_file(args.get("out"));
     std::cout << "wrote " << args.get("out") << "\n";
   }
-  finish_telemetry(args);
+  cli::finish_run_outputs(args);
   return 0;
 }
 
+// The one converter of a finished run's files: renders the trace and/or the
+// metrics snapshot, and writes the chrome://tracing and Prometheus forms of
+// them. A run command writes only the JSON-lines trace and the snapshot.
 int cmd_report(const cli::Args& args) {
   const bool have_trace = args.has("trace");
   const bool have_metrics = args.has("metrics");
   if (!have_trace && !have_metrics) {
     throw InvalidArgument("report needs a trace path and/or --metrics FILE.json");
+  }
+  if (args.has("chrome-out") && !have_trace) {
+    throw InvalidArgument("--chrome-out converts a trace: give its path or --trace");
+  }
+  if (args.has("prom-out") && !have_metrics) {
+    throw InvalidArgument("--prom-out converts a metrics snapshot: give --metrics FILE.json");
   }
   if (have_trace) {
     const std::string path = args.require_flag("trace");
@@ -362,9 +296,9 @@ int cmd_report(const cli::Args& args) {
     const telemetry::RunReport report = telemetry::build_report(events);
     telemetry::render_report(report, std::cout, args.get_int("rows", 12));
     if (args.has("chrome-out")) {
-      const std::string out = args.get("chrome-out");
-      telemetry::write_chrome_trace(events, out);
-      std::cout << "wrote chrome trace to " << out << " (open via chrome://tracing)\n";
+      telemetry::write_chrome_trace(events, args.get("chrome-out"));
+      std::cerr << "wrote chrome trace to " << args.get("chrome-out")
+                << " (open via chrome://tracing)\n";
     }
   }
   if (have_metrics) {
@@ -374,8 +308,16 @@ int cmd_report(const cli::Args& args) {
     // load_metrics_snapshot turns a missing/empty/malformed file into one
     // clear InvalidArgument line, which main() prints before exiting 1 —
     // instead of rendering a confusing empty report.
-    telemetry::render_metrics_summary(telemetry::load_metrics_snapshot(args.get("metrics")),
-                                      std::cout);
+    const util::Json snapshot = telemetry::load_metrics_snapshot(args.get("metrics"));
+    telemetry::render_metrics_summary(snapshot, std::cout);
+    if (args.has("prom-out")) {
+      const std::string out = args.get("prom-out");
+      std::ofstream file(out, std::ios::trunc);
+      if (!(file << telemetry::prometheus_text(snapshot))) {
+        throw IoError("cannot write " + out);
+      }
+      std::cerr << "wrote Prometheus exposition to " << out << "\n";
+    }
   }
   return 0;
 }
@@ -398,8 +340,8 @@ int cmd_select(const cli::Args& args) {
       core::SelectionEngine::from_file(args.require_flag("rules"));
   bench::Scenario s;
   s.collective = coll::parse_collective(args.require_flag("collective"));
-  s.nnodes = args.get_int("nodes", 16);
-  s.ppn = args.get_int("ppn", 16);
+  s.nnodes = static_cast<int>(args.get_count("nodes", 16));
+  s.ppn = static_cast<int>(args.get_count("ppn", 16));
   s.msg_bytes = args.get_bytes("msg", 1024);
   const coll::Algorithm tuned = engine.select(s);
   const coll::Algorithm fallback = core::mpich_default_selection(s);
@@ -446,7 +388,7 @@ std::uint64_t publish_model_file(serve::ServeCore& core, const std::string& path
 int cmd_serve(const cli::Args& args) {
   serve::ServeConfig cfg;
   cfg.cache_capacity = args.get_count("cache-capacity", cfg.cache_capacity);
-  open_telemetry(args);
+  cli::open_run_outputs(args);
   serve::ServeCore core(cfg);
   const int nodes = args.get_int("nodes", 0);
   const int ppn = args.get_int("ppn", 0);
@@ -463,7 +405,7 @@ int cmd_serve(const cli::Args& args) {
     handled = daemon.serve_stream(std::cin, std::cout);
   }
   std::cerr << "acclaimd served " << handled << " requests\n";
-  finish_telemetry(args);
+  cli::finish_run_outputs(args);
   return 0;
 }
 
@@ -472,8 +414,8 @@ int cmd_query(const cli::Args& args) {
   auto scenario_from_flags = [&args]() {
     bench::Scenario s;
     s.collective = coll::parse_collective(args.require_flag("collective"));
-    s.nnodes = args.get_int("nodes", 16);
-    s.ppn = args.get_int("ppn", 16);
+    s.nnodes = static_cast<int>(args.get_count("nodes", 16));
+    s.ppn = static_cast<int>(args.get_count("ppn", 16));
     s.msg_bytes = args.get_bytes("msg", 1024);
     return s;
   };
@@ -559,47 +501,45 @@ commands:
   collect       benchmark a feature grid into a dataset CSV
                   --out FILE [--machine bebop|theta|tiny] [--nodes N] [--ppn P]
                   [--collectives a,b] [--min-msg S] [--max-msg S] [--nonp2 yes|no] [--seed K]
-  train         active-learning training from a dataset
+  train         active-learning training from a dataset            (+ run flags)
                   --dataset FILE [--collective C] [--model OUT] [--rules OUT]
-                  [--trees N] [--max-points N] [--seed K] [--threads N]
-                  [--trace-out FILE.jsonl] [--metrics-out FILE.json]
-                  [--chrome-out FILE.json]   (chrome://tracing timeline)
-                  [--audit-out FILE.jsonl]   (decision flight recorder)
-                  [--profile-out FILE.folded] [--prom-out FILE.prom]
-  tune-job      full pipeline on a simulated job (train + rule file)
+                  [--trees N] [--max-points N] [--seed K]
+  tune-job      full pipeline on a simulated job (train + rule file) (+ run flags)
                   [--machine theta] [--nodes N] [--ppn P] [--collectives a,b]
-                  [--rules OUT] [--max-points N] [--seed K] [--threads N]
-                  [--trace-out FILE.jsonl] [--metrics-out FILE.json]
-                  [--chrome-out FILE.json]   (chrome://tracing timeline)
-                  [--audit-out FILE.jsonl]   (decision flight recorder)
-                  [--profile-out FILE.folded] [--prom-out FILE.prom]
+                  [--rules OUT] [--max-points N] [--seed K]
   explain       replay an audit log into per-decision "why" reports
                   AUDIT.jsonl | --audit FILE [--decisions N] [--rows N]
-  report        render a run report from a trace and/or metrics snapshot
+  report        render and convert a finished run's trace and/or metrics snapshot
                   TRACE.jsonl | --trace FILE [--rows N]
-                  [--metrics FILE.json]   (histogram p50/p95/p99 summaries)
-                  [--chrome-out FILE.json]   (convert the trace for chrome://tracing)
+                  [--metrics FILE.json]      (histogram p50/p95/p99 summaries)
+                  [--chrome-out FILE.json]   (the trace for chrome://tracing)
+                  [--prom-out FILE.prom]     (the snapshot as Prometheus text)
   select        resolve a scenario through a rule file
                   --rules FILE --collective C [--nodes N] [--ppn P] [--msg SIZE]
   inspect       summarize a dataset CSV
                   --dataset FILE
-  serve         run the acclaimd model-serving daemon (NDJSON protocol)
+  serve         run the acclaimd model-serving daemon (NDJSON protocol) (+ run flags)
                   [--model FILE[,FILE...]] [--socket PATH]  (default: stdin/stdout)
                   [--nodes N --ppn P] [--topology T]        (publish key; 0 = any scale)
                   [--cache-capacity N]
-                  [--threads N] [--metrics-out FILE.json] [--prom-out FILE.prom]
   query         ask a daemon (--socket) or a model file directly (--model)
                   --socket PATH | --model FILE
                   --collective C [--nodes N] [--ppn P] [--msg SIZE] [--topology T]
                   [--op query|ping|stats|shutdown|publish] [--path MODEL.json]
-  fleet         replay a job-arrival stream with warm-start model transfer
+  fleet         replay a job-arrival stream with warm-start model transfer (+ run flags)
                   [--machine bebop] [--jobs N] [--mean-interarrival S] [--seed K]
                   [--node-choices 4,8,16] [--ppn-choices 2,4,8] [--warm yes|no]
                   [--max-distance D] [--collectives-per-job K] [--trees N]
-                  [--max-points N] [--out SUMMARY.json] [--threads N]
-                  [--trace-out FILE.jsonl] [--metrics-out FILE.json]
+                  [--max-points N] [--out SUMMARY.json]
   breakeven     training-cost amortization (Fig. 15)
                   [--training SECONDS] [--speedup S]
+
+run flags (train, tune-job, serve, fleet; one note per written file on stderr):
+  [--threads N]                 size of the compute pool
+  [--trace-out FILE.jsonl]      telemetry event stream (acclaim report)
+  [--metrics-out FILE.json]     metrics snapshot at exit (acclaim report --metrics)
+  [--audit-out FILE.jsonl]      decision flight recorder (acclaim explain)
+  [--profile-out FILE.folded]   folded stacks for flamegraph.pl or speedscope
 )";
 }
 
@@ -611,110 +551,56 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
+  // The subcommand's flags; `positional` names the flag a leading path
+  // stands for (`acclaim report t.jsonl`).
+  const auto flags = [&](const std::vector<std::string>& known,
+                         const std::string& positional = {}) {
+    return cli::Args(argc - 2, argv + 2, known, {}, positional);
+  };
   try {
     if (cmd == "collectives") {
-      return cmd_collectives();
+      return cmd_collectives(flags({}));
     }
     if (cmd == "collect") {
-      return cmd_collect(cli::Args(argc - 2, argv + 2,
-                                   {"machine", "nodes", "ppn", "collectives", "min-msg",
-                                    "max-msg", "out", "nonp2", "seed"}));
+      return cmd_collect(flags({"machine", "nodes", "ppn", "collectives", "min-msg", "max-msg",
+                                "out", "nonp2", "seed"}));
     }
     if (cmd == "train") {
-      return cmd_train(cli::Args(argc - 2, argv + 2,
-                                 {"dataset", "collective", "model", "rules", "trees",
-                                  "max-points", "seed", "threads", "trace-out",
-                                  "metrics-out", "chrome-out", "audit-out", "profile-out",
-                                  "prom-out"}));
+      return cmd_train(flags(cli::with_run_flags(
+          {"dataset", "collective", "model", "rules", "trees", "max-points", "seed"})));
     }
     if (cmd == "tune-job") {
-      return cmd_tune_job(cli::Args(argc - 2, argv + 2,
-                                    {"machine", "nodes", "ppn", "collectives", "min-msg",
-                                     "max-msg", "rules", "trees", "max-points", "seed",
-                                     "threads", "trace-out", "metrics-out", "chrome-out",
-                                     "audit-out", "profile-out", "prom-out"}));
+      return cmd_tune_job(flags(cli::with_run_flags({"machine", "nodes", "ppn", "collectives",
+                                                     "min-msg", "max-msg", "rules", "trees",
+                                                     "max-points", "seed"})));
     }
     if (cmd == "explain") {
-      // Accept the audit path positionally (`acclaim explain run.jsonl`) or
-      // via --audit, mirroring `report`.
-      std::vector<char*> rest(argv + 2, argv + argc);
-      std::string positional;
-      if (!rest.empty() && rest.front()[0] != '-') {
-        positional = rest.front();
-        rest.erase(rest.begin());
-      }
-      cli::Args args(static_cast<int>(rest.size()), rest.data(),
-                     {"audit", "decisions", "rows"});
-      if (!positional.empty() && args.has("audit")) {
-        throw InvalidArgument(
-            "explain takes either a positional audit path or --audit, not both");
-      }
-      if (!positional.empty()) {
-        std::vector<char*> fwd;
-        std::string audit_flag = "--audit";
-        fwd.push_back(audit_flag.data());
-        fwd.push_back(positional.data());
-        for (char* a : rest) {
-          fwd.push_back(a);
-        }
-        args = cli::Args(static_cast<int>(fwd.size()), fwd.data(),
-                         {"audit", "decisions", "rows"});
-      }
-      return cmd_explain(args);
+      return cmd_explain(flags({"audit", "decisions", "rows"}, "audit"));
     }
     if (cmd == "report") {
-      // Accept the trace path positionally (`acclaim report t.jsonl`) or
-      // via --trace; remaining arguments stay ordinary flags.
-      std::vector<char*> rest(argv + 2, argv + argc);
-      std::string positional;
-      if (!rest.empty() && rest.front()[0] != '-') {
-        positional = rest.front();
-        rest.erase(rest.begin());
-      }
-      cli::Args args(static_cast<int>(rest.size()), rest.data(), {"trace", "rows", "metrics", "chrome-out"});
-      if (!positional.empty() && args.has("trace")) {
-        throw InvalidArgument("report takes either a positional trace path or --trace, not both");
-      }
-      if (!positional.empty()) {
-        std::vector<char*> fwd;
-        std::string trace_flag = "--trace";
-        fwd.push_back(trace_flag.data());
-        fwd.push_back(positional.data());
-        for (char* a : rest) {
-          fwd.push_back(a);
-        }
-        args = cli::Args(static_cast<int>(fwd.size()), fwd.data(), {"trace", "rows", "metrics", "chrome-out"});
-      }
-      return cmd_report(args);
+      return cmd_report(flags({"trace", "rows", "metrics", "chrome-out", "prom-out"}, "trace"));
     }
     if (cmd == "select") {
-      return cmd_select(
-          cli::Args(argc - 2, argv + 2, {"rules", "collective", "nodes", "ppn", "msg"}));
+      return cmd_select(flags({"rules", "collective", "nodes", "ppn", "msg"}));
     }
     if (cmd == "inspect") {
-      return cmd_inspect(cli::Args(argc - 2, argv + 2, {"dataset"}));
+      return cmd_inspect(flags({"dataset"}));
     }
     if (cmd == "serve") {
-      return cmd_serve(cli::Args(argc - 2, argv + 2,
-                                 {"model", "socket", "nodes", "ppn", "topology",
-                                  "cache-capacity", "threads", "trace-out", "metrics-out",
-                                  "chrome-out", "audit-out", "profile-out", "prom-out"}));
+      return cmd_serve(flags(cli::with_run_flags(
+          {"model", "socket", "nodes", "ppn", "topology", "cache-capacity"})));
     }
     if (cmd == "query") {
-      return cmd_query(cli::Args(argc - 2, argv + 2,
-                                 {"socket", "model", "op", "collective", "nodes", "ppn",
-                                  "msg", "topology", "path"}));
+      return cmd_query(flags({"socket", "model", "op", "collective", "nodes", "ppn", "msg",
+                              "topology", "path"}));
     }
     if (cmd == "fleet") {
-      return cmd_fleet(cli::Args(argc - 2, argv + 2,
-                                 {"machine", "jobs", "mean-interarrival", "seed",
-                                  "node-choices", "ppn-choices", "warm", "max-distance",
-                                  "collectives-per-job", "trees", "max-points", "out",
-                                  "threads", "trace-out", "metrics-out", "chrome-out",
-                                  "audit-out", "profile-out", "prom-out"}));
+      return cmd_fleet(flags(cli::with_run_flags(
+          {"machine", "jobs", "mean-interarrival", "seed", "node-choices", "ppn-choices", "warm",
+           "max-distance", "collectives-per-job", "trees", "max-points", "out"})));
     }
     if (cmd == "breakeven") {
-      return cmd_breakeven(cli::Args(argc - 2, argv + 2, {"training", "speedup"}));
+      return cmd_breakeven(flags({"training", "speedup"}));
     }
     if (cmd == "--help" || cmd == "help" || cmd == "-h") {
       usage();
