@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
     scfg.surrogate = benchharness::bench_forest();
     scfg.refresh_every = 5;
     core::SurrogateAcquisition policy(c, 1, scfg);
-    core::TraceConfig tcfg;
+    core::ActiveLearnerConfig tcfg;
     tcfg.forest = benchharness::bench_forest();
     tcfg.refit_every = 50;
     tcfg.max_points =

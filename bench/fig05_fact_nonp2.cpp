@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   scfg.surrogate = benchharness::bench_forest();
   scfg.refresh_every = 25;
   core::SurrogateAcquisition policy(c, 1, scfg);
-  core::TraceConfig tcfg;
+  core::ActiveLearnerConfig tcfg;
   tcfg.forest = benchharness::bench_forest();
   tcfg.refit_every = 50;
   tcfg.max_points = static_cast<int>(0.9 * static_cast<double>(space.candidates(c).size()));

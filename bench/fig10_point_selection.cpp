@@ -28,7 +28,7 @@ MethodResult run_one(coll::Collective c, core::AcquisitionPolicy& policy,
                      const std::vector<bench::Scenario>& test, const core::Evaluator& ev,
                      std::uint64_t seed) {
   core::DatasetEnvironment env(bebop_dataset());
-  core::TraceConfig tcfg;
+  core::ActiveLearnerConfig tcfg;
   tcfg.forest = benchharness::bench_forest();
   tcfg.refit_every = 5;
   tcfg.seed = seed;

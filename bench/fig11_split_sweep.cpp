@@ -26,7 +26,7 @@ SplitCurve run_split(int cadence, const std::vector<double>& fractions) {
   const core::Evaluator ev(bebop_dataset());
   core::DatasetEnvironment env(bebop_dataset());
   core::AcclaimAcquisition policy(core::AcclaimAcquisitionConfig{cadence});
-  core::TraceConfig tcfg;
+  core::ActiveLearnerConfig tcfg;
   tcfg.forest = benchharness::bench_forest();
   tcfg.refit_every = 10;
   tcfg.seed = 9;

@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
   for (coll::Collective c : coll::paper_collectives()) {
     core::DatasetEnvironment denv(bebop_dataset());
     core::AcclaimAcquisition policy;
-    core::TraceConfig tcfg;
+    core::ActiveLearnerConfig tcfg;
     tcfg.forest = benchharness::bench_forest();
     tcfg.refit_every = 10;
     tcfg.max_points = 60;

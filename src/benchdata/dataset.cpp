@@ -200,15 +200,14 @@ Dataset Dataset::load(const std::string& path) {
 }
 
 Dataset precollect(const simnet::MachineConfig& machine, const FeatureGrid& grid,
-                   const std::vector<coll::Collective>& collectives, std::uint64_t seed,
-                   MicrobenchConfig config) {
+                   const std::vector<coll::Collective>& collectives, std::uint64_t seed) {
   require(!grid.nodes.empty() && !grid.ppns.empty() && !grid.msgs.empty(),
           "precollect requires a non-empty grid");
   const int max_nodes = *std::max_element(grid.nodes.begin(), grid.nodes.end());
   require(max_nodes <= machine.total_nodes, "grid exceeds machine size");
   const simnet::Topology topo(machine);
   const simnet::NetworkModel net(topo, seed);
-  const Microbenchmark mb(net, config);
+  const Microbenchmark mb(net);
   util::Rng rng(seed ^ 0xd1b54a32d192ed03ULL);
   std::vector<int> ids(static_cast<std::size_t>(max_nodes));
   for (int i = 0; i < max_nodes; ++i) {
@@ -245,13 +244,13 @@ Dataset precollect(const simnet::MachineConfig& machine, const FeatureGrid& grid
 
 Dataset load_or_collect(const std::string& path, const simnet::MachineConfig& machine,
                         const FeatureGrid& grid, const std::vector<coll::Collective>& collectives,
-                        std::uint64_t seed, MicrobenchConfig config) {
+                        std::uint64_t seed) {
   if (std::filesystem::exists(path)) {
     AC_LOG_INFO() << "loading dataset from " << path;
     return Dataset::load(path);
   }
   AC_LOG_INFO() << "collecting dataset into " << path;
-  Dataset ds = precollect(machine, grid, collectives, seed, config);
+  Dataset ds = precollect(machine, grid, collectives, seed);
   const auto dir = std::filesystem::path(path).parent_path();
   if (!dir.empty()) {
     std::filesystem::create_directories(dir);

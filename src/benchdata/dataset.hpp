@@ -66,13 +66,12 @@ class Dataset {
 /// realization chosen by `seed`). This is the "precollected dataset" of the
 /// simulated experiments.
 Dataset precollect(const simnet::MachineConfig& machine, const FeatureGrid& grid,
-                   const std::vector<coll::Collective>& collectives, std::uint64_t seed,
-                   MicrobenchConfig config = {});
+                   const std::vector<coll::Collective>& collectives, std::uint64_t seed);
 
 /// Loads `path` if it exists, otherwise precollects and saves it — keeps the
 /// bench harnesses fast across runs while staying reproducible.
 Dataset load_or_collect(const std::string& path, const simnet::MachineConfig& machine,
                         const FeatureGrid& grid, const std::vector<coll::Collective>& collectives,
-                        std::uint64_t seed, MicrobenchConfig config = {});
+                        std::uint64_t seed);
 
 }  // namespace acclaim::bench

@@ -11,24 +11,19 @@
 
 namespace acclaim::bench {
 
-int MicrobenchConfig::timed_iterations(std::uint64_t msg_bytes, double expected_us) const {
-  int tier = iters_large;
-  if (msg_bytes <= 8 * 1024) {
-    tier = iters_small;
-  } else if (msg_bytes <= 512 * 1024) {
-    tier = iters_medium;
-  }
-  if (expected_us > 0.0) {
-    const int by_time = static_cast<int>(max_timed_seconds * 1e6 / expected_us);
-    tier = std::min(tier, std::max(min_iterations, by_time));
-  }
-  return tier;
-}
-
-Microbenchmark::Microbenchmark(const simnet::NetworkModel& net, MicrobenchConfig config)
-    : net_(net), config_(config) {}
-
 namespace {
+
+// OSU iteration tiers by message size (the suite's defaults shrink for large
+// sizes), the time cap on one point's timed portion and its floor.
+constexpr int kItersSmall = 1000;  ///< msg <= 8 KiB
+constexpr int kItersMedium = 100;  ///< msg <= 512 KiB
+constexpr int kItersLarge = 20;
+constexpr double kMaxTimedSeconds = 2.0;
+constexpr int kMinIterations = 5;
+/// Untimed warmup iterations, as a fraction of the timed ones.
+constexpr double kWarmupFraction = 0.2;
+/// Multiplicative measurement noise per timed iteration (lognormal sigma).
+constexpr double kNoiseSigma = 0.03;
 
 double run_schedule_us(const simnet::NetworkModel& net, const BenchmarkPoint& point,
                        const simnet::Allocation& alloc,
@@ -52,6 +47,22 @@ double run_schedule_us(const simnet::NetworkModel& net, const BenchmarkPoint& po
 
 }  // namespace
 
+int timed_iterations(std::uint64_t msg_bytes, double expected_us) {
+  int tier = kItersLarge;
+  if (msg_bytes <= 8 * 1024) {
+    tier = kItersSmall;
+  } else if (msg_bytes <= 512 * 1024) {
+    tier = kItersMedium;
+  }
+  if (expected_us > 0.0) {
+    const int by_time = static_cast<int>(kMaxTimedSeconds * 1e6 / expected_us);
+    tier = std::min(tier, std::max(kMinIterations, by_time));
+  }
+  return tier;
+}
+
+Microbenchmark::Microbenchmark(const simnet::NetworkModel& net) : net_(net) {}
+
 double Microbenchmark::schedule_time_us(const BenchmarkPoint& point,
                                         const simnet::Allocation& alloc) const {
   return run_schedule_us(net_, point, alloc, {}, {});
@@ -69,14 +80,14 @@ Measurement Microbenchmark::run_with_load(const BenchmarkPoint& point,
                                           util::Rng& rng) const {
   const telemetry::Span span("microbench.run");
   const double base_us = run_schedule_us(net_, point, alloc, rack_flows, pair_flows);
-  const int iters = config_.timed_iterations(point.scenario.msg_bytes, base_us);
-  const int warmup = static_cast<int>(std::ceil(config_.warmup_fraction * iters));
+  const int iters = timed_iterations(point.scenario.msg_bytes, base_us);
+  const int warmup = static_cast<int>(std::ceil(kWarmupFraction * iters));
 
   // The schedule time is deterministic for a fixed network; per-iteration
   // variation is sampled as multiplicative lognormal noise.
   util::RunningStat stat;
   for (int i = 0; i < iters; ++i) {
-    stat.add(base_us * rng.lognormal_median(1.0, config_.noise_sigma));
+    stat.add(base_us * rng.lognormal_median(1.0, kNoiseSigma));
   }
 
   Measurement m;
@@ -84,8 +95,7 @@ Measurement Microbenchmark::run_with_load(const BenchmarkPoint& point,
   m.stddev_us = stat.stddev();
   m.iterations = iters;
   const double run_us = static_cast<double>(warmup + iters) * base_us;
-  m.collect_cost_s = config_.launch_base_s +
-                     config_.launch_per_rank_s * point.scenario.nranks() + run_us * 1e-6;
+  m.collect_cost_s = kLaunchBaseS + kLaunchPerRankS * point.scenario.nranks() + run_us * 1e-6;
   static telemetry::Counter& runs = telemetry::metrics().counter("simnet.microbench_runs");
   static telemetry::Gauge& modeled = telemetry::metrics().gauge("simnet.modeled_run_us");
   static telemetry::Histogram& latency =

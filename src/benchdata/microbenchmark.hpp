@@ -15,35 +15,23 @@
 
 namespace acclaim::bench {
 
-struct MicrobenchConfig {
-  /// Job-step launch overhead: base + per-rank cost (aprun/srun startup).
-  double launch_base_s = 1.5;
-  double launch_per_rank_s = 0.002;
-  /// Iteration counts by message size (OSU defaults shrink for large sizes).
-  int iters_small = 1000;   ///< msg <= 8 KiB
-  int iters_medium = 100;   ///< msg <= 512 KiB
-  int iters_large = 20;     ///< larger
-  double warmup_fraction = 0.2;
-  /// Multiplicative measurement noise per timed iteration (lognormal sigma).
-  double noise_sigma = 0.03;
-  /// Cap on the timed portion of one point: iteration counts shrink (down
-  /// to min_iterations) so no single point runs longer than this. Tuning
-  /// harnesses bound per-point cost exactly this way; without it one
-  /// 2048-rank 1-MiB allgather point can eat a minute of the job.
-  double max_timed_seconds = 2.0;
-  int min_iterations = 5;
+/// Job-step launch overhead: base + per-rank cost (aprun/srun startup).
+inline constexpr double kLaunchBaseS = 1.5;
+inline constexpr double kLaunchPerRankS = 0.002;
 
-  /// Iterations for a message size, given the expected single-iteration
-  /// latency (used to apply the time cap).
-  int timed_iterations(std::uint64_t msg_bytes, double expected_us) const;
-};
+/// Timed iterations for a message size, given the expected single-iteration
+/// latency: the OSU tiers (1000 up to 8 KiB, 100 up to 512 KiB, 20 above),
+/// shrunk (down to 5) so no point's timed portion runs past 2 s. Tuning
+/// harnesses bound per-point cost exactly this way; without the cap one
+/// 2048-rank 1-MiB allgather point can eat a minute of the job.
+int timed_iterations(std::uint64_t msg_bytes, double expected_us);
 
-/// Runs benchmark points against a network model. Stateless apart from
-/// configuration; callers pass the allocation slice the benchmark runs on
-/// and an Rng stream for the measurement noise.
+/// Runs benchmark points against a network model. Stateless; callers pass
+/// the allocation slice the benchmark runs on and an Rng stream for the
+/// measurement noise.
 class Microbenchmark {
  public:
-  Microbenchmark(const simnet::NetworkModel& net, MicrobenchConfig config = {});
+  explicit Microbenchmark(const simnet::NetworkModel& net);
 
   /// Measures `point` on the first `point.scenario.nnodes` nodes of `alloc`
   /// (which must be at least that large).
@@ -61,11 +49,8 @@ class Microbenchmark {
   /// launch overhead) in microseconds — the model-truth latency.
   double schedule_time_us(const BenchmarkPoint& point, const simnet::Allocation& alloc) const;
 
-  const MicrobenchConfig& config() const noexcept { return config_; }
-
  private:
   const simnet::NetworkModel& net_;
-  MicrobenchConfig config_;
 };
 
 }  // namespace acclaim::bench

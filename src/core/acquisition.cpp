@@ -160,7 +160,7 @@ AcquisitionPolicy::Pick AcquisitionPolicy::next(const CollectiveModel& model,
 
 SurrogateAcquisition::SurrogateAcquisition(coll::Collective c, std::uint64_t seed,
                                            SurrogateAcquisitionConfig config)
-    : AcquisitionPolicy(config.pick, 0),
+    : AcquisitionPolicy(VariancePick::Argmax, 0),
       surrogate_(c, config.surrogate),
       config_(config),
       seed_(seed) {

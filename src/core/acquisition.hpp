@@ -127,12 +127,11 @@ struct SurrogateAcquisitionConfig {
   /// iteration, matching FACT; larger values trade fidelity for speed in
   /// long traces).
   int refresh_every = 1;
-  /// FACT is modeled as published: DeepHyper hands back the maximizer of
-  /// its acquisition, so Argmax is the default here (unlike ACCLAiM's
-  /// weighted adaptation — see DESIGN.md deviations).
-  VariancePick pick = VariancePick::Argmax;
 };
 
+/// FACT is modeled as published: DeepHyper hands back the maximizer of its
+/// acquisition, so the surrogate's pick is always the Argmax (unlike
+/// ACCLAiM's weighted adaptation — see DESIGN.md deviations).
 class SurrogateAcquisition final : public AcquisitionPolicy {
  public:
   SurrogateAcquisition(coll::Collective c, std::uint64_t seed,

@@ -14,11 +14,24 @@
 
 namespace acclaim::core {
 
+namespace {
+
+/// Points a cold run collects at random before its first model fit.
+constexpr std::size_t kSeedPoints = 5;
+/// The absolute term of the variance-convergence tolerance (the paper's
+/// 1e-9; see ActiveLearnerConfig::variance_rel_tol).
+constexpr double kVarianceAbsTol = 1e-9;
+/// A warm run's convergence window (see WarmStart).
+constexpr int kWarmPatience = 2;
+
+}  // namespace
+
 ActiveLearner::ActiveLearner(coll::Collective collective, const FeatureSpace& space,
                              TuningEnvironment& env, AcquisitionPolicy& policy,
                              ActiveLearnerConfig config)
     : collective_(collective), space_(space), env_(env), policy_(policy), config_(config) {
-  require(config_.seed_points >= 1, "need at least one seed point");
+  require(config_.max_points == -1 || config_.max_points >= 1,
+          "max_points must be -1 (the whole pool) or at least 1");
   require(config_.refit_every >= 1, "refit_every must be >= 1");
   require(config_.patience >= 1, "patience must be >= 1");
 }
@@ -31,8 +44,6 @@ void ActiveLearner::set_warm_start(WarmStart warm) {
   require(warm.model.trained(), "warm start requires a trained model");
   require(warm.model.collective() == collective_,
           "warm-start model is for a different collective");
-  require(warm.min_new_points >= 1, "warm start needs min_new_points >= 1");
-  require(warm.patience >= 1, "warm start needs patience >= 1");
   for (const LabeledPoint& lp : warm.support) {
     require(lp.point.scenario.collective == collective_,
             "warm-start support point is for a different collective");
@@ -61,10 +72,10 @@ TrainingResult ActiveLearner::run() {
   // variance criterion may fire; a warm run only needs enough fresh points
   // to have patched the transferred model's disagreement region.
   const std::size_t min_points =
-      static_cast<std::size_t>(warm_ ? warm_->min_new_points : config_.min_points);
+      warm_ ? kWarmMinNewPoints : static_cast<std::size_t>(config_.min_points);
   // Same split for the criterion's window: a warm run's variance is already
-  // calm, so it only needs WarmStart::patience confirming checks.
-  const int patience = warm_ ? warm_->patience : config_.patience;
+  // calm, so it only needs kWarmPatience confirming checks.
+  const int patience = warm_ ? kWarmPatience : config_.patience;
   util::Rng rng(config_.seed);
   const double clock_start_s = env_.clock_s();
 
@@ -104,8 +115,7 @@ TrainingResult ActiveLearner::run() {
   };
   // A warm run refits from the first fresh point (the support set already
   // carries enough rows); a cold run waits for the random seed phase.
-  const std::size_t refit_floor =
-      warm_ ? 1u : static_cast<std::size_t>(config_.seed_points);
+  const std::size_t refit_floor = warm_ ? 1u : kSeedPoints;
   static telemetry::Counter& refit_counter = telemetry::metrics().counter("model_refits");
   auto refit = [&](bool force) {
     const bool due = result.collected.size() >= points_at_last_fit +
@@ -172,7 +182,7 @@ TrainingResult ActiveLearner::run() {
       }
       // Variance convergence (§IV-C): the change of the smoothed cumulative
       // variance over a `patience`-iteration window must stay below
-      // abs_tol + rel_tol * reference, for `patience` consecutive checks.
+      // kVarianceAbsTol + rel_tol * reference, for `patience` consecutive checks.
       constexpr double kEmaAlpha = 0.25;
       ema = ema < 0.0 ? rec.cumulative_variance
                       : kEmaAlpha * rec.cumulative_variance + (1.0 - kEmaAlpha) * ema;
@@ -181,7 +191,7 @@ TrainingResult ActiveLearner::run() {
         const double ref =
             ema_history[ema_history.size() - 1 - static_cast<std::size_t>(patience)];
         const double delta = std::abs(ema - ref);
-        const double tol = config_.variance_abs_tol + config_.variance_rel_tol * std::abs(ref);
+        const double tol = kVarianceAbsTol + config_.variance_rel_tol * std::abs(ref);
         calm_iters = delta < tol ? calm_iters + 1 : 0;
         if (telemetry::tracer().enabled()) {
           telemetry::TraceEvent ev;

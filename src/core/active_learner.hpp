@@ -24,20 +24,17 @@ namespace acclaim::core {
 
 struct ActiveLearnerConfig {
   ml::ForestParams forest = default_forest_params();
-  /// Points collected (randomly) before the first model fit.
-  int seed_points = 5;
-  /// Hard cap on collected points; -1 = entire candidate pool.
+  /// Hard cap on collected points, at least 1; -1 = entire candidate pool.
   int max_points = -1;
   /// Refit the primary model only after this many new points (1 = every
   /// iteration; larger values speed up long acquisition traces).
   int refit_every = 1;
   /// Variance-convergence criterion (§IV-C): an EMA of the cumulative
-  /// variance must move less than abs_tol + rel_tol * reference over a
+  /// variance must move less than 1e-9 + rel_tol * reference over a
   /// `patience`-iteration window, for `patience` consecutive checks. The
   /// paper uses an absolute 1e-9 on its variance scale; the relative term
   /// makes the criterion scale-free for our log-time variance (see
   /// EXPERIMENTS.md for the calibration).
-  double variance_abs_tol = 1e-9;
   double variance_rel_tol = 0.015;
   int patience = 5;
   /// Convergence cannot fire before this many points are collected (guards
@@ -53,20 +50,18 @@ struct ActiveLearnerConfig {
 /// `support` in every refit so the transferred knowledge survives fits on
 /// the few freshly measured points, and lets a fresh measurement *override*
 /// a support point at the same (scenario, algorithm) — active learning
-/// patches the disagreement region instead of retraining from zero.
+/// patches the disagreement region instead of retraining from zero. A warm
+/// run converges on its own floor (kWarmMinNewPoints fresh points) and a
+/// window of two checks instead of `min_points` and `patience`: it only has
+/// to show that fresh measurements did *not* perturb the transferred model,
+/// which an already-calm variance shows within a couple of checks.
 struct WarmStart {
   CollectiveModel model;
   std::vector<LabeledPoint> support;
-  /// Convergence floor on freshly measured points (replaces
-  /// ActiveLearnerConfig::min_points, which guards the cold-start regime).
-  int min_new_points = 16;
-  /// Convergence window for warm runs (replaces ActiveLearnerConfig::
-  /// patience). A cold run's criterion waits for a from-scratch model to
-  /// stabilize; a warm run only tests that fresh measurements did *not*
-  /// perturb the transferred model, which an already-calm variance shows
-  /// within a couple of checks.
-  int patience = 2;
 };
+
+/// Convergence floor on a warm run's freshly measured points.
+inline constexpr std::size_t kWarmMinNewPoints = 16;
 
 struct IterationRecord {
   int iteration = 0;

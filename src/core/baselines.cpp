@@ -86,16 +86,10 @@ double AcquisitionTrace::prefix_cost_s(std::size_t k) const {
 
 AcquisitionTrace trace_acquisition(coll::Collective c, const FeatureSpace& space,
                                    TuningEnvironment& env, AcquisitionPolicy& policy,
-                                   const TraceConfig& config) {
-  ActiveLearnerConfig al;
-  al.forest = config.forest;
-  al.seed_points = config.seed_points;
-  al.max_points = config.max_points;
-  al.refit_every = config.refit_every;
-  al.patience = std::numeric_limits<int>::max();  // disable convergence: trace everything
-  al.seed = config.seed;
+                                   ActiveLearnerConfig config) {
+  config.patience = std::numeric_limits<int>::max();  // disable convergence: trace everything
   const double clock_before = env.clock_s();
-  ActiveLearner learner(c, space, env, policy, al);
+  ActiveLearner learner(c, space, env, policy, config);
   const TrainingResult result = learner.run();
 
   AcquisitionTrace trace;

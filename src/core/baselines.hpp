@@ -68,21 +68,12 @@ struct AcquisitionTrace {
   double prefix_cost_s(std::size_t k) const;
 };
 
-struct TraceConfig {
-  ml::ForestParams forest = default_forest_params();
-  int seed_points = 5;
-  int max_points = -1;
-  /// Primary-model refit cadence during tracing (AcclaimAcquisition needs
-  /// the model; batches speed up long traces).
-  int refit_every = 5;
-  std::uint64_t seed = 1;
-};
-
-/// Runs the acquisition loop to `max_points` (or pool exhaustion) and
-/// records the order. Wraps ActiveLearner with convergence disabled.
+/// Runs the acquisition loop to `config.max_points` (or pool exhaustion)
+/// and records the order: an ActiveLearner with `config`, but with
+/// convergence disabled (`patience` is ignored).
 AcquisitionTrace trace_acquisition(coll::Collective c, const FeatureSpace& space,
                                    TuningEnvironment& env, AcquisitionPolicy& policy,
-                                   const TraceConfig& config);
+                                   ActiveLearnerConfig config);
 
 /// Fits a fresh primary model on a trace prefix.
 CollectiveModel train_on_prefix(const AcquisitionTrace& trace, std::size_t k,

@@ -12,6 +12,11 @@ namespace acclaim::core {
 
 namespace {
 
+/// Extra concurrent flows each co-running benchmark injects into a rack
+/// uplink / global pair it shares with another; only a schedule that breaks
+/// the disjointness rules (fig13's naive ablation scheduler) shares any.
+constexpr int kInterferenceFlows = 6;
+
 /// Shared benchmark accounting for every environment implementation: the
 /// `benchmark_runs` counter / cost gauge the CLI exports and the per-run
 /// trace event the report builder folds into its totals. `slot` >= 0 marks
@@ -103,12 +108,11 @@ std::optional<std::uint64_t> DatasetEnvironment::nonp2_msg_near(std::uint64_t p2
 }
 
 LiveEnvironment::LiveEnvironment(const simnet::Topology& topo, const simnet::Allocation& alloc,
-                                 std::uint64_t job_seed, LiveEnvironmentConfig config)
+                                 std::uint64_t job_seed)
     : topo_(topo),
       alloc_(alloc),
       net_(topo, job_seed),
-      mb_(net_, config.microbench),
-      config_(config),
+      mb_(net_),
       noise_seed_(job_seed ^ 0xa5a5a5a5deadbeefULL) {}
 
 bench::Measurement LiveEnvironment::measure(const bench::BenchmarkPoint& point) {
@@ -144,12 +148,12 @@ std::vector<bench::Measurement> LiveEnvironment::measure_scheduled(
       }
       for (int r : feet[j].racks) {
         if (feet[i].racks.count(r)) {
-          rack_flows[i][r] += config_.interference_flows;
+          rack_flows[i][r] += kInterferenceFlows;
         }
       }
       for (int p : feet[j].pairs) {
         if (feet[i].pairs.count(p)) {
-          pair_flows[i][p] += config_.interference_flows;
+          pair_flows[i][p] += kInterferenceFlows;
         }
       }
     }

@@ -85,14 +85,6 @@ class DatasetEnvironment final : public TuningEnvironment {
   std::map<int, std::vector<std::uint64_t>> msgs_;
 };
 
-struct LiveEnvironmentConfig {
-  bench::MicrobenchConfig microbench;
-  /// Extra concurrent flows each co-running benchmark injects into a rack
-  /// uplink / global pair it touches (used when a schedule violates the
-  /// disjointness rules, e.g. the naive ablation scheduler).
-  int interference_flows = 6;
-};
-
 /// Fig. 1(b): measurements execute on the simulated machine inside the job's
 /// allocation; co-scheduled batches run concurrently on the simulated clock
 /// and interfere when they share racks or pairs.
@@ -107,7 +99,7 @@ class LiveEnvironment final : public TuningEnvironment {
   /// The environment references `topo` and `alloc`; both must outlive it.
   /// `job_seed` fixes this job's network realization and noise streams.
   LiveEnvironment(const simnet::Topology& topo, const simnet::Allocation& alloc,
-                  std::uint64_t job_seed, LiveEnvironmentConfig config = {});
+                  std::uint64_t job_seed);
 
   bench::Measurement measure(const bench::BenchmarkPoint& point) override;
   std::vector<bench::Measurement> measure_scheduled(
@@ -128,7 +120,6 @@ class LiveEnvironment final : public TuningEnvironment {
   const simnet::Allocation& alloc_;
   simnet::NetworkModel net_;
   bench::Microbenchmark mb_;
-  LiveEnvironmentConfig config_;
   std::uint64_t noise_seed_ = 0;
   /// Serial measurement sequence number: the next measurement's noise
   /// stream id.

@@ -127,7 +127,9 @@ CollectiveModel CollectiveModel::from_json(const util::Json& doc) {
   // A forest of another width would load but fail every prediction.
   require(model.forest_->n_features() == num_features(model.collective_),
           "model forest feature count does not match its collective's encoding");
-  model.n_points_ = static_cast<std::size_t>(doc.at("training_points").as_int());
+  const std::int64_t training_points = doc.at("training_points").as_int();
+  require(training_points >= 0, "model 'training_points' must be >= 0");
+  model.n_points_ = static_cast<std::size_t>(training_points);
   return model;
 }
 

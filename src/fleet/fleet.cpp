@@ -20,6 +20,13 @@ namespace acclaim::fleet {
 
 namespace {
 
+/// Cap on the labeled points a job republishes (fresh points first, then
+/// inherited support), so transfer payloads stay bounded as chains grow.
+constexpr std::size_t kMaxSupportPoints = 256;
+/// Fraction of app iteration time spent outside collectives when
+/// translating the collective-time ratio into an app speedup.
+constexpr double kComputeFraction = 0.7;
+
 /// Exact bit pattern of a double as 16 hex digits — the fingerprint must
 /// distinguish values that round-trip identically through formatting.
 std::string hex_bits(double v) {
@@ -78,14 +85,14 @@ struct PendingLater {
 };
 
 /// Fresh points first, then inherited support rows not overridden by a
-/// fresh measurement at the same (scenario, algorithm), capped.
+/// fresh measurement at the same (scenario, algorithm), up to
+/// kMaxSupportPoints.
 std::vector<core::LabeledPoint> merge_support(const std::vector<core::LabeledPoint>& fresh,
-                                              const std::vector<core::LabeledPoint>* inherited,
-                                              std::size_t cap) {
+                                              const std::vector<core::LabeledPoint>* inherited) {
   std::vector<core::LabeledPoint> out;
   std::set<bench::BenchmarkPoint> seen;
   for (const core::LabeledPoint& lp : fresh) {
-    if (out.size() >= cap) {
+    if (out.size() >= kMaxSupportPoints) {
       break;
     }
     if (seen.insert(lp.point).second) {
@@ -94,7 +101,7 @@ std::vector<core::LabeledPoint> merge_support(const std::vector<core::LabeledPoi
   }
   if (inherited != nullptr) {
     for (const core::LabeledPoint& lp : *inherited) {
-      if (out.size() >= cap) {
+      if (out.size() >= kMaxSupportPoints) {
         break;
       }
       if (seen.insert(lp.point).second) {
@@ -109,11 +116,6 @@ void validate(const FleetConfig& config) {
   config.machine.validate();
   require(config.collectives_per_job >= 1, "fleet jobs must tune at least one collective");
   require(config.trace_calls >= 1, "fleet speedup pricing needs at least one trace call");
-  require(config.compute_fraction >= 0.0 && config.compute_fraction < 1.0,
-          "compute fraction must be in [0, 1)");
-  require(config.min_msg >= 1 && config.min_msg <= config.max_msg, "bad message-size range");
-  require(config.warm_min_new_points >= 1, "warm start needs min_new_points >= 1");
-  require(config.max_support_points >= 1, "support cap must be at least 1");
   require(config.max_transfer_distance >= 0.0, "transfer distance cutoff must be >= 0");
   for (int n : config.stream.node_choices) {
     require(n <= config.machine.total_nodes, "job node choice exceeds the machine");
@@ -182,7 +184,6 @@ FleetResult replay_fleet(const FleetConfig& config, serve::ModelStore& store) {
         core::WarmStart ws;
         ws.model = match.snapshot->model;
         ws.support = *match.snapshot->support;
-        ws.min_new_points = config.warm_min_new_points;
         warm.emplace(c, std::move(ws));
         distance_sum += match.distance;
         ++outcome.warm_collectives;
@@ -195,8 +196,8 @@ FleetResult replay_fleet(const FleetConfig& config, serve::ModelStore& store) {
     // Each job trains the message range its application actually sends
     // (type size << count range, P2 by construction) — pricing the job's
     // trace with rules trained on a narrower range would charge the tuned
-    // side for extrapolation the fleet never asked of it. The config range
-    // only clamps the extremes.
+    // side for extrapolation the fleet never asked of it. JobSpec's default
+    // range only clamps the extremes.
     std::uint64_t app_min = ~std::uint64_t{0};
     std::uint64_t app_max = 0;
     for (const std::uint64_t ts : arrival.app.type_sizes) {
@@ -207,10 +208,9 @@ FleetResult replay_fleet(const FleetConfig& config, serve::ModelStore& store) {
     spec.collectives = collectives;
     spec.nnodes = arrival.nnodes;
     spec.ppn = arrival.ppn;
-    spec.min_msg = std::clamp(app_min, config.min_msg, config.max_msg);
-    spec.max_msg = std::clamp(app_max, spec.min_msg, config.max_msg);
+    spec.min_msg = std::clamp(app_min, spec.min_msg, spec.max_msg);
+    spec.max_msg = std::clamp(app_max, spec.min_msg, spec.max_msg);
     spec.job_seed = arrival.job_seed;
-    spec.machine_busy_fraction = config.machine_busy_fraction;
     const core::PipelineResult run = pipeline.run(spec, warm);
 
     outcome.training_s = run.total_training_s;
@@ -243,7 +243,7 @@ FleetResult replay_fleet(const FleetConfig& config, serve::ModelStore& store) {
       if (default_us > 0.0) {
         const double ratio = tuned_us / default_us;
         outcome.speedup =
-            1.0 / (config.compute_fraction + (1.0 - config.compute_fraction) * ratio);
+            1.0 / (kComputeFraction + (1.0 - kComputeFraction) * ratio);
       }
       if (outcome.speedup > 1.0) {
         outcome.breakeven_s = platform::breakeven_runtime_s(outcome.training_s, outcome.speedup);
@@ -263,7 +263,7 @@ FleetResult replay_fleet(const FleetConfig& config, serve::ModelStore& store) {
         inherited = &it->second.support;
       }
       auto support = std::make_shared<const std::vector<core::LabeledPoint>>(
-          merge_support(run.trained[i].points, inherited, config.max_support_points));
+          merge_support(run.trained[i].points, inherited));
       pub.items.push_back(PendingPublish::Item{serve::ModelKey{c, nranks, topo_sig},
                                                run.trained[i].model, std::move(support)});
     }

@@ -14,7 +14,7 @@
 //    model (ModelStore::nearest) and, when one is close enough, seeds its
 //    ActiveLearner from it (core::WarmStart) — active learning then only
 //    patches the disagreement region, so the convergence floor drops from
-//    ActiveLearnerConfig::min_points to WarmStart::min_new_points;
+//    ActiveLearnerConfig::min_points to core::kWarmMinNewPoints;
 //  * models become visible only at the *simulated completion time* of the
 //    job that trained them, so transfer hits depend on the arrival pattern
 //    exactly as they would on a real machine.
@@ -59,26 +59,15 @@ struct FleetConfig {
   /// (max |log2 scale| delta on this machine class) but rejects
   /// cross-topology transfer (+16).
   double max_transfer_distance = 8.0;
-  /// WarmStart::min_new_points for transferred jobs.
-  int warm_min_new_points = 16;
-  /// Cap on the labeled points a job republishes (fresh points first, then
-  /// inherited support) so transfer payloads stay bounded as chains grow.
-  std::size_t max_support_points = 256;
 
-  /// Each job tunes its app's top-k collectives by mix weight.
+  /// Each job tunes its app's top-k collectives by mix weight. Its training
+  /// message range comes from its application's trace spec, clamped to
+  /// JobSpec's default range; the machine is JobSpec's default busy fraction.
   int collectives_per_job = 2;
-  /// Clamp on the per-job training message range (each job derives its own
-  /// range from its application's trace spec inside these bounds).
-  std::uint64_t min_msg = 8;
-  std::uint64_t max_msg = 1 << 20;
-  double machine_busy_fraction = 0.3;
 
   /// Calls sampled from the app's trace to price the tuned-vs-default
   /// speedup (see JobOutcome::speedup).
   std::size_t trace_calls = 256;
-  /// Fraction of app iteration time spent outside collectives when
-  /// translating the collective-time ratio into an app speedup.
-  double compute_fraction = 0.7;
 };
 
 /// Everything the replay decided about one job; the unit the fingerprint

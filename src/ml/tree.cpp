@@ -145,11 +145,29 @@ std::int32_t DecisionTree::build(const std::vector<FeatureRow>& X, const std::ve
   return self;
 }
 
+namespace {
+
+/// An integer field narrowed to int32 only after its range is checked.
+std::int32_t int32_field(const util::Json& v, const char* field) {
+  const std::int64_t i = v.as_int();
+  if (i < std::numeric_limits<std::int32_t>::min() ||
+      i > std::numeric_limits<std::int32_t>::max()) {
+    // Built only on failure: this runs for every node of every loaded model.
+    throw InvalidArgument(std::string("serialized tree '") + field +
+                          "' value does not fit int32");
+  }
+  return static_cast<std::int32_t>(i);
+}
+
+}  // namespace
+
 DecisionTree DecisionTree::from_json(const util::Json& doc) {
   DecisionTree tree;
-  tree.n_features_ = static_cast<std::size_t>(doc.at("n_features").as_int());
-  tree.depth_ = static_cast<int>(doc.at("depth").as_int());
-  require(tree.n_features_ >= 1, "serialized tree must have features");
+  const std::int32_t n_features = int32_field(doc.at("n_features"), "n_features");
+  require(n_features >= 1, "serialized tree must have features");
+  tree.n_features_ = static_cast<std::size_t>(n_features);
+  tree.depth_ = int32_field(doc.at("depth"), "depth");
+  require(tree.depth_ >= 0, "serialized tree 'depth' must be in [0, INT_MAX]");
   const auto& feature = doc.at("feature").as_array();
   const auto& threshold = doc.at("threshold").as_array();
   const auto& left = doc.at("left").as_array();
@@ -162,10 +180,10 @@ DecisionTree DecisionTree::from_json(const util::Json& doc) {
   tree.nodes_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     Node& node = tree.nodes_[i];
-    node.feature = static_cast<int>(feature[i].as_int());
+    node.feature = int32_field(feature[i], "feature");
     node.threshold = threshold[i].as_number();
-    node.left = static_cast<std::int32_t>(left[i].as_int());
-    node.right = static_cast<std::int32_t>(right[i].as_int());
+    node.left = int32_field(left[i], "left");
+    node.right = int32_field(right[i], "right");
     node.value = value[i].as_number();
     require(node.feature < static_cast<int>(tree.n_features_),
             "serialized tree references a feature out of range");

@@ -28,6 +28,15 @@ bool bool_field(const TraceEvent& ev, const char* key) {
   return ev.fields.contains(k) && ev.fields.at(k).is_bool() && ev.fields.at(k).as_bool();
 }
 
+/// A whole number in [0, 2^64): what the renderers may cast to uint64_t.
+bool is_count(const util::Json& v) {
+  if (!v.is_number()) {
+    return false;
+  }
+  const double d = v.as_number();
+  return d >= 0.0 && d < 18446744073709551616.0 && std::trunc(d) == d;
+}
+
 }  // namespace
 
 RunReport build_report(const std::vector<TraceEvent>& events) {
@@ -214,10 +223,34 @@ util::Json load_metrics_snapshot(const std::string& path) {
     throw InvalidArgument("metrics file is not valid JSON: " + path + " (" + e.what() + ")");
   }
   if (!doc.is_object() || !doc.contains("counters") || !doc.contains("gauges") ||
-      !doc.contains("histograms")) {
+      !doc.contains("histograms") || !doc.at("counters").is_object() ||
+      !doc.at("histograms").is_object()) {
     throw InvalidArgument("metrics file is not a metrics snapshot (expected "
                           "counters/gauges/histograms objects): " +
                           path);
+  }
+  const auto not_a_count = [&](const std::string& what) {
+    return InvalidArgument("metrics file " + path + ": " + what +
+                           " is not a whole number in [0, 2^64)");
+  };
+  for (const auto& [name, value] : doc.at("counters").as_object()) {
+    if (!is_count(value)) {
+      throw not_a_count("counter '" + name + "'");
+    }
+  }
+  for (const auto& [name, h] : doc.at("histograms").as_object()) {
+    if (!h.contains("count") || !is_count(h.at("count"))) {
+      throw not_a_count("histogram '" + name + "' count");
+    }
+    if (!h.contains("buckets") || !h.at("buckets").is_array()) {
+      throw InvalidArgument("metrics file " + path + ": histogram '" + name +
+                            "' has no buckets array");
+    }
+    for (const util::Json& bucket : h.at("buckets").as_array()) {
+      if (!bucket.contains("n") || !is_count(bucket.at("n"))) {
+        throw not_a_count("a bucket 'n' of histogram '" + name + "'");
+      }
+    }
   }
   return doc;
 }

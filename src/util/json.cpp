@@ -453,17 +453,54 @@ class Parser {
     return s;
   }
 
+  /// True when the next character is `c` (false at the end of input).
+  bool at(char c) const { return pos_ < text_.size() && text_[pos_] == c; }
+
+  /// Consumes a run of digits; false if there was none.
+  bool digits() {
+    const std::size_t from = pos_;
+    while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+      advance();
+    }
+    return pos_ > from;
+  }
+
+  // RFC 8259: -? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?, checked
+  // in the one pass that scans the token. The token then runs over any
+  // further number characters, so a bad one ("01", "1.", "-.5") is named
+  // whole in the error.
   Json parse_number() {
     const std::size_t start = pos_;
     if (peek() == '-') {
       advance();
     }
+    bool ok = true;
+    if (at('0')) {
+      advance();  // a leading zero stands alone
+    } else {
+      ok = digits();
+    }
+    if (ok && at('.')) {
+      advance();
+      ok = digits();
+    }
+    if (ok && (at('e') || at('E'))) {
+      advance();
+      if (at('+') || at('-')) {
+        advance();
+      }
+      ok = digits();
+    }
     while (pos_ < text_.size() && (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
                                    text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
                                    text_[pos_] == '+' || text_[pos_] == '-')) {
       advance();
+      ok = false;
     }
     const std::string token = text_.substr(start, pos_ - start);
+    if (!ok) {
+      fail("invalid number '" + token + "'");
+    }
     try {
       std::size_t consumed = 0;
       const double d = std::stod(token, &consumed);

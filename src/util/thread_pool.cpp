@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "util/error.hpp"
-#include "util/log.hpp"
 
 namespace acclaim::util {
 
@@ -199,24 +198,9 @@ namespace {
 
 std::mutex g_pool_mu;
 std::unique_ptr<ThreadPool> g_pool;
-int g_requested = 0;  ///< 0 = env / hardware default
+int g_requested = 0;  ///< 0 = hardware default
 
-int default_threads() {
-  if (const char* env = std::getenv("ACCLAIM_THREADS"); env != nullptr && *env != '\0') {
-    if (const std::optional<int> n = parse_thread_count(env)) {
-      return *n;
-    }
-    // Garbage ("abc"), trailing junk ("4x"), non-positive, or absurd values
-    // must not silently become some other thread count: warn and take the
-    // hardware default instead.
-    AC_LOG_WARN() << "ignoring ACCLAIM_THREADS='" << env << "': expected an integer in [1, "
-                  << kMaxThreads << "]; using hardware default (" << hardware_threads()
-                  << ")";
-  }
-  return hardware_threads();
-}
-
-int resolved_threads() { return g_requested > 0 ? g_requested : default_threads(); }
+int resolved_threads() { return g_requested > 0 ? g_requested : hardware_threads(); }
 
 }  // namespace
 

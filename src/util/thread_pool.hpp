@@ -107,24 +107,23 @@ class ThreadPool {
 /// std::thread::hardware_concurrency with a floor of 1.
 int hardware_threads() noexcept;
 
-/// Largest thread count `--threads` and ACCLAIM_THREADS accept: far above
-/// any real machine, low enough that a typo ("16000" for "16") cannot make
-/// the pool spawn thousands of workers.
+/// Largest thread count `--threads` accepts: far above any real machine, low
+/// enough that a typo ("16000" for "16") cannot make the pool spawn
+/// thousands of workers.
 inline constexpr int kMaxThreads = 1024;
 
-/// The check every thread-count surface applies (`--threads` on the CLI and
-/// the benches, ACCLAIM_THREADS): the whole of `text` must be a base-10
-/// integer in [1, kMaxThreads]. nullopt for anything else.
+/// The check `--threads` applies on the CLI and the benches: the whole of
+/// `text` must be a base-10 integer in [1, kMaxThreads]. nullopt for
+/// anything else.
 std::optional<int> parse_thread_count(const std::string& text);
 
 /// The process-wide pool every parallel hot loop (forest fit/predict,
 /// jackknife sweeps, acquisition scoring) runs on. Created on first use
-/// with set_global_threads()'s last value, else the ACCLAIM_THREADS
-/// environment variable, else hardware_threads().
+/// with set_global_threads()'s last value, else hardware_threads().
 ThreadPool& global_pool();
 
 /// Resizes the global pool by tearing it down (joining its workers) and
-/// recreating it lazily; n <= 0 restores the default (env / hardware).
+/// recreating it lazily; n <= 0 restores the default (hardware_threads()).
 /// Not safe to call while another thread is using global_pool() — call it
 /// between parallel regions (CLI startup, bench setup, test SetUp).
 void set_global_threads(int n);

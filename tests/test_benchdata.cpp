@@ -99,21 +99,20 @@ TEST_F(MicrobenchTest, MeasurementTracksScheduleTime) {
 }
 
 TEST_F(MicrobenchTest, IterationCountsFollowOsuTiers) {
-  bench::MicrobenchConfig cfg;
-  EXPECT_EQ(cfg.timed_iterations(64, 10.0), 1000);
-  EXPECT_EQ(cfg.timed_iterations(8 * 1024, 10.0), 1000);
-  EXPECT_EQ(cfg.timed_iterations(64 * 1024, 100.0), 100);
-  EXPECT_EQ(cfg.timed_iterations(1 << 20, 1000.0), 20);
+  EXPECT_EQ(bench::timed_iterations(64, 10.0), 1000);
+  EXPECT_EQ(bench::timed_iterations(8 * 1024, 10.0), 1000);
+  EXPECT_EQ(bench::timed_iterations(64 * 1024, 100.0), 100);
+  EXPECT_EQ(bench::timed_iterations(1 << 20, 1000.0), 20);
 }
 
 TEST_F(MicrobenchTest, TimeCapShrinksIterationCounts) {
-  bench::MicrobenchConfig cfg;  // 2 s cap, min 5 iterations
+  // 2 s cap, min 5 iterations.
   // 10 ms per iteration -> 200 iterations fit the cap.
-  EXPECT_EQ(cfg.timed_iterations(64, 10000.0), 200);
-  // 1 s per iteration -> floor at min_iterations.
-  EXPECT_EQ(cfg.timed_iterations(1 << 20, 1e6), 5);
+  EXPECT_EQ(bench::timed_iterations(64, 10000.0), 200);
+  // 1 s per iteration -> floor at the minimum.
+  EXPECT_EQ(bench::timed_iterations(1 << 20, 1e6), 5);
   // Tier caps still apply when time allows more.
-  EXPECT_EQ(cfg.timed_iterations(1 << 20, 10.0), 20);
+  EXPECT_EQ(bench::timed_iterations(1 << 20, 10.0), 20);
 }
 
 TEST_F(MicrobenchTest, CollectionCostIncludesLaunchOverhead) {
@@ -121,9 +120,8 @@ TEST_F(MicrobenchTest, CollectionCostIncludesLaunchOverhead) {
   const BenchmarkPoint p{{coll::Collective::Bcast, 8, 2, 64}, coll::Algorithm::BcastBinomial};
   util::Rng rng(1);
   const bench::Measurement m = mb.run(p, alloc_, rng);
-  const auto& cfg = mb.config();
-  EXPECT_GT(m.collect_cost_s, cfg.launch_base_s);
-  EXPECT_GT(m.collect_cost_s, cfg.launch_per_rank_s * 16);
+  EXPECT_GT(m.collect_cost_s, bench::kLaunchBaseS);
+  EXPECT_GT(m.collect_cost_s, bench::kLaunchPerRankS * 16);
 }
 
 TEST_F(MicrobenchTest, ExternalLoadInflatesMeasurement) {

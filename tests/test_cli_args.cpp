@@ -119,7 +119,7 @@ TEST(CliArgs, StillAcceptsWellFormedNumericValues) {
 
 // Regression: --threads went through get_int, so "-3" silently ran at the
 // default and a huge value made the pool spawn that many workers. It now
-// takes ACCLAIM_THREADS's range and nothing else.
+// takes [1, util::kMaxThreads] and nothing else.
 TEST(CliArgs, ThreadsFlagAcceptsOnlyTheThreadRange) {
   for (const char* bad : {"-3", "0", "1025", "2147483647", "abc", "4x", ""}) {
     const Args args = parse({"--threads", bad}, {"threads"});

@@ -2,7 +2,9 @@
 // configuration files.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 
 #include "util/error.hpp"
@@ -95,6 +97,24 @@ TEST(Json, MalformedAndOutOfRangeNumbersAreParseErrors) {
       EXPECT_NE(std::string(e.what()).find("invalid number"), std::string::npos) << text;
     }
   }
+}
+
+// Regression: a token of number characters went to std::stod as it was, so
+// `-.5`, `01` and `1.` parsed although the JSON grammar has none of them.
+TEST(Json, NumbersFollowTheJsonGrammar) {
+  for (const std::string text : {"-.5", "01", "-01", "1.", "1e", "1e+", "-"}) {
+    try {
+      Json::parse(text);
+      ADD_FAILURE() << text << " parsed";
+    } catch (const acclaim::ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("invalid number '" + text + "'"), std::string::npos)
+          << e.what();
+    }
+  }
+  for (const char* text : {"0", "-0", "0.5", "-1.5e-3", "1E+2", "1.0000000000000001e-05"}) {
+    EXPECT_EQ(Json::parse(text).as_number(), std::strtod(text, nullptr)) << text;
+  }
+  EXPECT_TRUE(std::signbit(Json::parse("-0").as_number()));
 }
 
 // Regression: every character but { [ " t f n went to the number parser,

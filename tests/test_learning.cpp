@@ -208,7 +208,7 @@ TEST_F(LearnerTest, WarmStartConvergesOnFewerFreshPointsWithoutQualityLoss) {
   const core::TrainingResult warm = warm_learner.run();
   ASSERT_TRUE(warm.converged);
   EXPECT_TRUE(warm.warm_started);
-  EXPECT_GE(warm.collected.size(), static_cast<std::size_t>(warm_start.min_new_points));
+  EXPECT_GE(warm.collected.size(), core::kWarmMinNewPoints);
   EXPECT_LT(warm.collected.size(), cold.collected.size() / 2);
   EXPECT_LT(warm.train_time_s, cold.train_time_s);
 
@@ -450,9 +450,10 @@ TEST_F(LearnerTest, AcclaimCompetitiveWithHunoldAtEqualBudget) {
 TEST_F(LearnerTest, AcquisitionTracePrefixesAreConsistent) {
   core::DatasetEnvironment env(ds_);
   core::AcclaimAcquisition policy;
-  core::TraceConfig cfg;
+  core::ActiveLearnerConfig cfg;
   cfg.forest.n_trees = 40;
   cfg.max_points = 30;
+  cfg.refit_every = 5;
   cfg.seed = 4;
   const core::AcquisitionTrace trace =
       core::trace_acquisition(Collective::Reduce, space_, env, policy, cfg);

@@ -121,10 +121,14 @@ TEST(LearnerRobustness, RejectsNonsenseConfigs) {
   core::DatasetEnvironment env(ds);
   core::AcclaimAcquisition policy;
   core::ActiveLearnerConfig cfg;
-  cfg.seed_points = 0;
-  EXPECT_THROW(core::ActiveLearner(coll::Collective::Bcast, space, env, policy, cfg),
-               InvalidArgument);
-  cfg.seed_points = 5;
+  // A cap is -1 (the whole pool) or at least one point.
+  for (const int max_points : {0, -3}) {
+    cfg.max_points = max_points;
+    EXPECT_THROW(core::ActiveLearner(coll::Collective::Bcast, space, env, policy, cfg),
+                 InvalidArgument)
+        << "max_points=" << max_points;
+  }
+  cfg.max_points = -1;
   cfg.refit_every = 0;
   EXPECT_THROW(core::ActiveLearner(coll::Collective::Bcast, space, env, policy, cfg),
                InvalidArgument);

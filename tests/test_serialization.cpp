@@ -32,6 +32,23 @@ Synth make_synth(std::size_t n, std::uint64_t seed) {
   return s;
 }
 
+/// A bcast model of `n_trees` trees fitted on a small synthetic grid.
+core::CollectiveModel small_bcast_model(int n_trees) {
+  std::vector<core::LabeledPoint> data;
+  double t = 5.0;
+  for (coll::Algorithm a : coll::algorithms_for(coll::Collective::Bcast)) {
+    for (std::uint64_t msg : {64ull, 4096ull, 262144ull}) {
+      data.push_back({{{coll::Collective::Bcast, 4, 2, msg}, a}, t});
+      t *= 1.3;
+    }
+  }
+  ml::ForestParams params = core::default_forest_params();
+  params.n_trees = n_trees;
+  core::CollectiveModel model(coll::Collective::Bcast, params);
+  model.fit(data, 3);
+  return model;
+}
+
 TEST(TreeSerialization, RoundTripPredictionsIdentical) {
   const Synth s = make_synth(300, 1);
   ml::DecisionTree tree;
@@ -138,24 +155,49 @@ TEST(ModelSerialization, RoundTripSelectionsIdentical) {
 TEST(ModelSerialization, ForestWidthMustMatchTheCollective) {
   // A bcast model whose trees declare three more features than bcast's
   // encoding would load and then fail every prediction.
-  std::vector<core::LabeledPoint> data;
-  double t = 5.0;
-  for (coll::Algorithm a : coll::algorithms_for(coll::Collective::Bcast)) {
-    for (std::uint64_t msg : {64ull, 4096ull, 262144ull}) {
-      data.push_back({{{coll::Collective::Bcast, 4, 2, msg}, a}, t});
-      t *= 1.3;
-    }
-  }
-  ml::ForestParams params = core::default_forest_params();
-  params.n_trees = 4;
-  core::CollectiveModel model(coll::Collective::Bcast, params);
-  model.fit(data, 3);
-  util::Json doc = model.to_json();
+  util::Json doc = small_bcast_model(4).to_json();
   EXPECT_NO_THROW(core::CollectiveModel::from_json(doc));
   for (util::Json& tree : doc["forest"]["trees"].as_array()) {
     tree["n_features"] = tree.at("n_features").as_number() + 3.0;
   }
   EXPECT_THROW(core::CollectiveModel::from_json(doc), InvalidArgument);
+}
+
+// Regression: feature, left and right were narrowed to int unchecked, so a
+// split reading feature 2^32 + 3 loaded as feature 3, and a training_points
+// of -1 loaded as SIZE_MAX.
+TEST(ModelSerialization, RejectsIntegersOutsideTheirType) {
+  const util::Json good = small_bcast_model(2).to_json();
+  const auto root_tree = [](util::Json& doc) -> util::Json& {
+    return doc["forest"]["trees"].as_array().front();
+  };
+  const auto expect_rejected = [](const util::Json& doc, const std::string& field) {
+    try {
+      core::CollectiveModel::from_json(doc);
+      ADD_FAILURE() << "out-of-range " << field << " loaded";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  };
+  constexpr double kTwo32 = 4294967296.0;
+  for (const std::string field : {"feature", "left", "right"}) {
+    for (const double shift : {kTwo32, -kTwo32}) {
+      util::Json doc = good;
+      util::Json& split = root_tree(doc)[field].as_array().front();
+      ASSERT_GE(split.as_int(), 0) << "the first tree's root must split";
+      split = split.as_number() + shift;
+      expect_rejected(doc, field);
+    }
+  }
+  for (const double depth : {-1.0, kTwo32 / 2}) {
+    util::Json doc = good;
+    root_tree(doc)["depth"] = depth;
+    expect_rejected(doc, "depth");
+  }
+  util::Json doc = good;
+  doc["training_points"] = -1;
+  expect_rejected(doc, "training_points");
+  EXPECT_NO_THROW(core::CollectiveModel::from_json(good));
 }
 
 TEST(ModelSerialization, UntrainedAndWrongFormatRejected) {

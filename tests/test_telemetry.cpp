@@ -811,4 +811,46 @@ TEST_F(TelemetryTest, LoadMetricsSnapshotErrorsAreOneClearLine) {
   std::remove(shape.c_str());
 }
 
+// Regression: the renderers cast counts straight to uint64_t, so a counter
+// of -5 printed as 18446744073709551611, 1e300 as 0, and a histogram count
+// of -3 as 18446744073709551613.
+TEST_F(TelemetryTest, LoadMetricsSnapshotRefusesCountsThatAreNotWholeNumbers) {
+  const std::string hist_head = R"({"counters":{},"gauges":{},"histograms":{"h":)";
+  const std::vector<std::string> docs = {
+      R"({"counters":{"x":-5},"gauges":{},"histograms":{}})",
+      R"({"counters":{"x":1e300},"gauges":{},"histograms":{}})",
+      R"({"counters":{"x":18446744073709551616},"gauges":{},"histograms":{}})",
+      R"({"counters":{"x":0.5},"gauges":{},"histograms":{}})",
+      R"({"counters":{"x":"3"},"gauges":{},"histograms":{}})",
+      hist_head + R"({"count":-3,"sum":0,"buckets":[]}}})",
+      hist_head + R"({"count":2.5,"sum":0,"buckets":[]}}})",
+      hist_head + R"({"sum":0,"buckets":[]}}})",
+      hist_head + R"({"count":1,"sum":1,"buckets":[{"le":1,"n":-1}]}}})",
+      hist_head + R"({"count":1,"sum":1,"buckets":[{"le":1,"n":1e20}]}}})",
+      hist_head + R"({"count":1,"sum":1}}})",
+  };
+  const std::string path = temp_path("metrics_counts.json");
+  for (const std::string& doc : docs) {
+    {
+      std::ofstream out(path, std::ios::trunc);
+      out << doc;
+    }
+    try {
+      telemetry::load_metrics_snapshot(path);
+      ADD_FAILURE() << doc << " loaded";
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path), std::string::npos) << what;
+      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    }
+  }
+  // The largest counts a snapshot holds still load.
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << hist_head << R"({"count":18446744073709549568,"sum":0,"buckets":[{"le":1,"n":0}]}}})";
+  }
+  EXPECT_NO_THROW(telemetry::load_metrics_snapshot(path));
+  std::remove(path.c_str());
+}
+
 }  // namespace

@@ -5,11 +5,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <future>
 #include <numeric>
 #include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -235,54 +233,6 @@ TEST(ThreadPool, GlobalPoolResize) {
 }
 
 TEST(ThreadPool, HardwareThreadsPositive) { EXPECT_GE(util::hardware_threads(), 1); }
-
-// Regression: ACCLAIM_THREADS used to go through atoi — garbage fell back
-// silently, and trailing junk ("4x") was accepted as 4. Malformed values now
-// warn and take the hardware default; well-formed values still apply.
-class AcclaimThreadsEnv : public ::testing::Test {
- protected:
-  void SetUp() override {
-    const char* prior = std::getenv("ACCLAIM_THREADS");
-    had_prior_ = prior != nullptr;
-    if (had_prior_) {
-      prior_ = prior;
-    }
-  }
-  void TearDown() override {
-    if (had_prior_) {
-      setenv("ACCLAIM_THREADS", prior_.c_str(), 1);
-    } else {
-      unsetenv("ACCLAIM_THREADS");
-    }
-    util::set_global_threads(0);
-  }
-
-  /// The size the global pool would resolve with the current environment.
-  static int resolved() {
-    util::set_global_threads(0);  // drop any explicit request, re-read env
-    return util::global_threads();
-  }
-
-  bool had_prior_ = false;
-  std::string prior_;
-};
-
-TEST_F(AcclaimThreadsEnv, AcceptsWellFormedValues) {
-  setenv("ACCLAIM_THREADS", "3", 1);
-  EXPECT_EQ(resolved(), 3);
-}
-
-TEST_F(AcclaimThreadsEnv, RejectsTrailingGarbage) {
-  setenv("ACCLAIM_THREADS", "4x", 1);
-  EXPECT_EQ(resolved(), util::hardware_threads());
-}
-
-TEST_F(AcclaimThreadsEnv, RejectsNonNumericNegativeZeroAndAbsurd) {
-  for (const char* bad : {"abc", "-2", "0", "1000000", " 8 "}) {
-    setenv("ACCLAIM_THREADS", bad, 1);
-    EXPECT_EQ(resolved(), util::hardware_threads()) << "ACCLAIM_THREADS=" << bad;
-  }
-}
 
 TEST(RngStream, PureFunctionOfSeedAndIndex) {
   const auto a = util::Rng::stream(123, 7).next_u64();

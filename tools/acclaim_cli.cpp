@@ -153,10 +153,10 @@ int cmd_train(const cli::Args& args) {
   core::DatasetEnvironment env(ds);
   core::AcclaimAcquisition policy;
   core::ActiveLearnerConfig cfg;
-  cfg.forest.n_trees = args.get_int("trees", 50);
+  cfg.forest.n_trees = static_cast<int>(args.get_count("trees", 50));
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  if (args.has("max-points")) {
-    cfg.max_points = args.get_int("max-points", -1);
+  if (args.has("max-points")) {  // without it, the whole pool
+    cfg.max_points = static_cast<int>(args.get_count("max-points", 1));
   }
   core::ActiveLearner learner(c, space, env, policy, cfg);
   const core::TrainingResult result = learner.run();
@@ -189,8 +189,8 @@ int cmd_tune_job(const cli::Args& args) {
   spec.job_seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   spec.collectives = collectives_from(args.get("collectives", "bcast,allreduce"));
   core::ActiveLearnerConfig learner;
-  learner.forest.n_trees = args.get_int("trees", 50);
-  learner.max_points = args.get_int("max-points", 250);
+  learner.forest.n_trees = static_cast<int>(args.get_count("trees", 50));
+  learner.max_points = static_cast<int>(args.get_count("max-points", 250));
   const core::AcclaimPipeline pipeline(machine_by_name(args.get("machine", "theta")), learner);
   const core::PipelineResult result = pipeline.run(spec);
   util::TablePrinter table({"collective", "points", "time", "converged"});
@@ -217,9 +217,9 @@ int cmd_fleet(const cli::Args& args) {
   config.stream.ppn_choices = args.get_counts("ppn-choices", config.stream.ppn_choices);
   config.warm_start = args.get_yes_no("warm", true);
   config.max_transfer_distance = args.get_double("max-distance", 8.0);
-  config.collectives_per_job = args.get_int("collectives-per-job", 2);
-  config.learner.forest.n_trees = args.get_int("trees", 20);
-  config.learner.max_points = args.get_int("max-points", 90);
+  config.collectives_per_job = static_cast<int>(args.get_count("collectives-per-job", 2));
+  config.learner.forest.n_trees = static_cast<int>(args.get_count("trees", 20));
+  config.learner.max_points = static_cast<int>(args.get_count("max-points", 90));
   cli::open_run_outputs(args);
 
   serve::ModelStore store;
@@ -294,7 +294,7 @@ int cmd_report(const cli::Args& args) {
       return 1;
     }
     const telemetry::RunReport report = telemetry::build_report(events);
-    telemetry::render_report(report, std::cout, args.get_int("rows", 12));
+    telemetry::render_report(report, std::cout, static_cast<int>(args.get_count("rows", 12)));
     if (args.has("chrome-out")) {
       telemetry::write_chrome_trace(events, args.get("chrome-out"));
       std::cerr << "wrote chrome trace to " << args.get("chrome-out")
@@ -330,8 +330,8 @@ int cmd_explain(const cli::Args& args) {
     return 1;
   }
   const telemetry::ExplainReport report = telemetry::build_explain(records);
-  telemetry::render_explain(report, std::cout, args.get_int("decisions", 4),
-                            args.get_int("rows", 12));
+  telemetry::render_explain(report, std::cout, static_cast<int>(args.get_count("decisions", 4)),
+                            static_cast<int>(args.get_count("rows", 12)));
   return 0;
 }
 

@@ -101,11 +101,9 @@ run_tsan() {
   # readers and publishers and the decision cache; TSan on those
   # suites is the data-race gate. The thread counts in the tests don't
   # depend on the host's core count, so this is meaningful even on a 1-core
-  # CI runner. ACCLAIM_THREADS is cleared so the environment cannot pin the
-  # suites back to one thread.
+  # CI runner.
   local tsan_dir="$repo_root/build-tsan"
-  local tsan_env=(env -u ACCLAIM_THREADS
-                  TSAN_OPTIONS="suppressions=$repo_root/tools/tsan.supp ${TSAN_OPTIONS:-}")
+  local tsan_env=(env TSAN_OPTIONS="suppressions=$repo_root/tools/tsan.supp ${TSAN_OPTIONS:-}")
   cmake -B "$tsan_dir" -S "$repo_root" -DACCLAIM_SANITIZE=thread &&
   cmake --build "$tsan_dir" --target test_thread_pool test_determinism test_properties \
     test_serve -j "$jobs" &&
