@@ -42,6 +42,11 @@ std::int32_t DecisionTree::build(const std::vector<FeatureRow>& X, const std::ve
                                  util::Rng& rng) {
   depth_ = std::max(depth_, depth);
   const std::size_t n = end - begin;
+  // The node's rows in ascending row index (a row's bootstrap copies back to
+  // back): sums and scans then depend on the sample's multiset only, never
+  // on the order a partition left the rows in.
+  std::sort(idx.begin() + static_cast<std::ptrdiff_t>(begin),
+            idx.begin() + static_cast<std::ptrdiff_t>(end));
 
   double sum = 0.0;
   double sum2 = 0.0;
@@ -85,8 +90,11 @@ std::int32_t DecisionTree::build(const std::vector<FeatureRow>& X, const std::ve
   std::vector<std::size_t> order(idx.begin() + static_cast<std::ptrdiff_t>(begin),
                                  idx.begin() + static_cast<std::ptrdiff_t>(end));
   for (int f : features) {
+    // Ascending (value, row index): ties between rows keep one fixed order.
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return X[a][static_cast<std::size_t>(f)] < X[b][static_cast<std::size_t>(f)];
+      const double xa = X[a][static_cast<std::size_t>(f)];
+      const double xb = X[b][static_cast<std::size_t>(f)];
+      return xa < xb || (xa == xb && a < b);
     });
     double left_sum = 0.0;
     double left_sum2 = 0.0;
