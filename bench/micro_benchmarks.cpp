@@ -232,19 +232,15 @@ struct SweepFixture {
       y.push_back(0.4 * f[0] + 0.2 * f[1] + 0.15 * f[2] + alg_bias + rng.normal(0.0, 0.05));
       rows.push_back(f);
     }
-    // The figure harnesses' bench_forest() size: 50 bootstrap trees, seeded
-    // the way RandomForest::fit seeds them.
-    util::Rng seeds(7);
-    trees.resize(50);
-    for (ml::DecisionTree& tree : trees) {
-      util::Rng tree_rng(seeds.next_u64());
-      std::vector<std::size_t> sample(rows.size());
-      for (std::size_t& i : sample) {
-        i = tree_rng.index(rows.size());
-      }
-      tree.fit(rows, y, sample, ml::TreeParams{}, tree_rng);
+    // The figure harnesses' bench_forest() size: 50 bootstrap trees. The
+    // node-walk reference is the fitted forest's own trees, read back from
+    // its document.
+    ml::ForestParams params;
+    params.n_trees = 50;
+    forest.fit(rows, y, params, 7);
+    for (const util::Json& tree : forest.to_json().at("trees").as_array()) {
+      trees.push_back(ml::DecisionTree::from_json(tree));
     }
-    forest = ml::RandomForest::from_trees(trees);
   }
 
   static const SweepFixture& instance() {

@@ -1,41 +1,274 @@
 #include "ml/forest.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <numeric>
 #include <utility>
 
 #include "telemetry/metrics.hpp"
 #include "telemetry/profiler.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace acclaim::ml {
 
+namespace {
+
+/// Split candidates must beat this variance reduction (strictly positive).
+constexpr double kMinReduction = -1e-12;
+
+/// The training set of one forest fit, laid out once for every tree: X
+/// column-major, and per feature the row indices in ascending (value, row)
+/// order. Read-only while the trees grow, so the pool's threads share it.
+class Presorted {
+ public:
+  Presorted(const std::vector<FeatureRow>& X, const std::vector<double>& y)
+      : n_rows_(X.size()), n_features_(X.empty() ? 0 : X[0].size()), y_(y) {
+    require(!X.empty() && X.size() == y.size(), "forest requires non-empty, aligned X/y");
+    require(n_rows_ <= std::numeric_limits<std::uint32_t>::max(),
+            "forest training set has too many rows");
+    require(n_features_ >= 1, "rows must have at least one feature");
+    x_.resize(n_features_ * n_rows_);
+    for (std::size_t r = 0; r < n_rows_; ++r) {
+      require(X[r].size() == n_features_, "ragged feature matrix");
+      require(std::isfinite(y[r]), "forest targets must be finite");
+      for (std::size_t f = 0; f < n_features_; ++f) {
+        require(std::isfinite(X[r][f]), "forest features must be finite");
+        x_[f * n_rows_ + r] = X[r][f];
+      }
+    }
+    order_.resize(n_features_ * n_rows_);
+    for (std::size_t f = 0; f < n_features_; ++f) {
+      const auto first = order_.begin() + static_cast<std::ptrdiff_t>(f * n_rows_);
+      const auto last = first + static_cast<std::ptrdiff_t>(n_rows_);
+      std::iota(first, last, std::uint32_t{0});
+      const double* xf = column(f);
+      // Stable by value over ascending rows: ties keep row order.
+      std::stable_sort(first, last,
+                       [xf](std::uint32_t a, std::uint32_t b) { return xf[a] < xf[b]; });
+    }
+  }
+
+  std::size_t n_rows() const noexcept { return n_rows_; }
+  std::size_t n_features() const noexcept { return n_features_; }
+  const double* column(std::size_t f) const noexcept { return x_.data() + f * n_rows_; }
+  const std::uint32_t* order(std::size_t f) const noexcept {
+    return order_.data() + f * n_rows_;
+  }
+  const std::vector<double>& y() const noexcept { return y_; }
+
+ private:
+  std::size_t n_rows_;
+  std::size_t n_features_;
+  const std::vector<double>& y_;
+  std::vector<double> x_;
+  std::vector<std::uint32_t> order_;
+};
+
+/// Grows one CART tree on a Presorted training set, row r taken counts[r]
+/// times. The tree keeps F+1 lists of its counted rows, each row's copies
+/// back to back: list f in feature f's (value, row) order, list F in row
+/// order. A node is the same segment [begin, end) of every list: its sums
+/// run over list F, each considered feature scans its own list, and a split
+/// partitions all F+1 segments stably, so every child segment stays in
+/// order and no node sorts.
+class TreeGrower {
+ public:
+  TreeGrower(const Presorted& data, const std::vector<std::uint32_t>& counts,
+             const TreeParams& params, util::Rng& rng)
+      : data_(data), params_(params), rng_(rng), n_features_(data.n_features()) {
+    for (const std::uint32_t c : counts) {
+      n_ += c;
+    }
+    require(n_ >= 1, "a tree needs at least one sampled row");
+    lists_.resize((n_features_ + 1) * n_);
+    for (std::size_t f = 0; f <= n_features_; ++f) {
+      std::uint32_t* list = lists_.data() + f * n_;
+      const std::uint32_t* order = f < n_features_ ? data.order(f) : nullptr;
+      std::size_t w = 0;
+      for (std::size_t k = 0; k < data.n_rows(); ++k) {
+        const std::uint32_t r = order != nullptr ? order[k] : static_cast<std::uint32_t>(k);
+        for (std::uint32_t c = 0; c < counts[r]; ++c) {
+          list[w++] = r;
+        }
+      }
+    }
+    right_.resize(n_);
+    goes_left_.resize(data.n_rows());
+    nodes_.reserve(2 * n_);
+  }
+
+  DecisionTree grow() {
+    build(0, n_, 0);
+    return DecisionTree(std::move(nodes_), n_features_, depth_);
+  }
+
+ private:
+  std::int32_t build(std::size_t begin, std::size_t end, int depth) {
+    depth_ = std::max(depth_, depth);
+    const std::size_t n = end - begin;
+    const double* y = data_.y().data();
+    const std::uint32_t* rows = lists_.data() + n_features_ * n_;
+
+    double sum = 0.0;
+    double sum2 = 0.0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const double yi = y[rows[i]];
+      sum += yi;
+      sum2 += yi * yi;
+    }
+    const double mean = sum / static_cast<double>(n);
+    // Total sum of squared deviations (not variance: avoids dividing twice).
+    const double sse = sum2 - sum * mean;
+
+    auto make_leaf = [&]() -> std::int32_t {
+      DecisionTree::Node leaf;
+      leaf.value = mean;
+      nodes_.push_back(leaf);
+      return static_cast<std::int32_t>(nodes_.size() - 1);
+    };
+
+    if (depth >= params_.max_depth || n < static_cast<std::size_t>(params_.min_samples_split) ||
+        sse <= 1e-12) {
+      return make_leaf();
+    }
+
+    const auto min_leaf = static_cast<std::size_t>(params_.min_samples_leaf);
+    int best_feature = -1;
+    double best_threshold = 0.0;
+    double best_score = kMinReduction;
+    auto scan = [&](std::size_t f) {
+      const std::uint32_t* list = lists_.data() + f * n_;
+      const double* xf = data_.column(f);
+      double left_sum = 0.0;
+      double left_sum2 = 0.0;
+      for (std::size_t k = begin; k + 1 < end; ++k) {
+        const double yi = y[list[k]];
+        left_sum += yi;
+        left_sum2 += yi * yi;
+        const double xv = xf[list[k]];
+        const double xn = xf[list[k + 1]];
+        if (xn <= xv) {
+          continue;  // no valid threshold between identical values
+        }
+        const std::size_t nl = k + 1 - begin;
+        const std::size_t nr = n - nl;
+        if (nl < min_leaf || nr < min_leaf) {
+          continue;
+        }
+        const double right_sum = sum - left_sum;
+        const double right_sum2 = sum2 - left_sum2;
+        const double sse_l = left_sum2 - left_sum * left_sum / static_cast<double>(nl);
+        const double sse_r = right_sum2 - right_sum * right_sum / static_cast<double>(nr);
+        const double score = sse - sse_l - sse_r;  // variance reduction
+        if (score > best_score) {
+          best_score = score;
+          best_feature = static_cast<int>(f);
+          best_threshold = 0.5 * (xv + xn);
+        }
+      }
+    };
+    // Candidate features: all in index order, or a uniform subset of size
+    // max_features in the order the rng draws it.
+    if (params_.max_features < 0 || params_.max_features >= static_cast<int>(n_features_)) {
+      for (std::size_t f = 0; f < n_features_; ++f) {
+        scan(f);
+      }
+    } else {
+      for (const std::size_t f : rng_.sample_without_replacement(
+               n_features_, static_cast<std::size_t>(params_.max_features))) {
+        scan(f);
+      }
+    }
+
+    if (best_feature < 0) {
+      return make_leaf();
+    }
+
+    // One left flag per row of the node, then a stable branch-free
+    // partition of every list's segment by it: left rows keep their order
+    // in place, right rows go through right_ and land after them.
+    const double* xb = data_.column(static_cast<std::size_t>(best_feature));
+    std::size_t n_left = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const bool left = xb[rows[i]] <= best_threshold;
+      goes_left_[rows[i]] = left;
+      n_left += left;
+    }
+    if (n_left == 0 || n_left == n) {
+      return make_leaf();  // numeric degeneracy; refuse an empty child
+    }
+    for (std::size_t f = 0; f <= n_features_; ++f) {
+      std::uint32_t* list = lists_.data() + f * n_;
+      std::size_t w = begin;
+      std::size_t w_right = 0;
+      for (std::size_t i = begin; i < end; ++i) {
+        const std::uint32_t r = list[i];
+        const bool left = goes_left_[r] != 0;
+        list[w] = r;
+        right_[w_right] = r;
+        w += left;
+        w_right += !left;
+      }
+      std::copy(right_.begin(), right_.begin() + static_cast<std::ptrdiff_t>(w_right),
+                list + w);
+    }
+    const std::size_t mid = begin + n_left;
+
+    // Reserve this node's slot before recursing (children append after it).
+    nodes_.emplace_back();
+    const auto self = static_cast<std::int32_t>(nodes_.size() - 1);
+    const std::int32_t left = build(begin, mid, depth + 1);
+    const std::int32_t right = build(mid, end, depth + 1);
+    DecisionTree::Node& node = nodes_[static_cast<std::size_t>(self)];
+    node.feature = best_feature;
+    node.threshold = best_threshold;
+    node.left = left;
+    node.right = right;
+    return self;
+  }
+
+  const Presorted& data_;
+  const TreeParams& params_;
+  util::Rng& rng_;
+  std::size_t n_features_;
+  std::size_t n_ = 0;                      ///< counted rows (sum of counts)
+  std::vector<std::uint32_t> lists_;       ///< (F+1) lists of n_ row indices
+  std::vector<std::uint32_t> right_;       ///< partition scratch
+  std::vector<unsigned char> goes_left_;   ///< per row: left of the current split
+  std::vector<DecisionTree::Node> nodes_;  ///< pre-order
+  int depth_ = 0;
+};
+
+}  // namespace
+
 void RandomForest::fit(const std::vector<FeatureRow>& X, const std::vector<double>& y,
                        const ForestParams& params, std::uint64_t seed) {
   require(params.n_trees >= 1, "forest requires at least one tree");
-  require(!X.empty() && X.size() == y.size(), "forest requires non-empty, aligned X/y");
   const telemetry::Span span("forest.fit");
+  const Presorted data(X, y);
   std::vector<DecisionTree> trees(static_cast<std::size_t>(params.n_trees));
   // One independent stream per tree, derived from the run seed *before* the
   // parallel region. Tree i always sees the i-th derived seed, so the forest
-  // is bitwise-identical for any thread count (and identical to the old
-  // sequential rng.split() chain, which produced exactly these seeds).
+  // is bitwise-identical for any thread count.
   util::Rng rng(seed);
   std::vector<std::uint64_t> tree_seeds(trees.size());
   for (std::uint64_t& s : tree_seeds) {
     s = rng.next_u64();
   }
+  const std::size_t n = data.n_rows();
   util::global_pool().parallel_for(0, trees.size(), [&](std::size_t i) {
     util::Rng tree_rng(tree_seeds[i]);
+    // The bootstrap as per-row counts: N draws with replacement.
+    std::vector<std::uint32_t> counts(n, params.bootstrap ? 0u : 1u);
     if (params.bootstrap) {
-      std::vector<std::size_t> sample(X.size());
-      for (auto& s : sample) {
-        s = tree_rng.index(X.size());
+      for (std::size_t k = 0; k < n; ++k) {
+        ++counts[tree_rng.index(n)];
       }
-      trees[i].fit(X, y, sample, params.tree, tree_rng);
-    } else {
-      trees[i].fit(X, y, params.tree, tree_rng);
     }
+    trees[i] = TreeGrower(data, counts, params.tree, tree_rng).grow();
   });
   // Flatten once per fit and drop the trees: the arena is immutable until
   // the next fit, so every prediction from here on is a pure read.

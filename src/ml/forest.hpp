@@ -1,14 +1,30 @@
 // Random forest regressor (bootstrap-aggregated CART trees), held as one
 // structure-of-arrays arena.
 //
-// `DecisionTree` fits each tree as a node-struct vector, but every hop of a
-// node-struct walk loads a 32-byte Node to use at most half of it.
-// Prediction and per-tree jackknife variance dominate every acquisition
-// round (PAPER.md §IV; the fig10/fig12 hot paths), so a forest keeps no
-// trees: fit() and from_json() flatten them into one shared arena of
-// parallel arrays — split feature, threshold, left child, right child, leaf
-// value — and drop them. Every evaluation walks the arena. predict() gives
-// one row's mean (the Hunold baseline and predict_log_us use it). The
+// Fit. fit() lays the training set out once per forest: X column-major and,
+// per feature, the rows in ascending (value, row index) order. Each tree
+// takes its bootstrap as per-row counts and keeps F+1 lists of its counted
+// rows (one per feature in that order, one in row order); a node sums its
+// targets over the row-order list, scans each considered feature's list for
+// the split with the largest variance reduction (the criterion
+// scikit-learn's DecisionTreeRegressor uses, the paper's model family, §V),
+// and a split partitions all F+1 lists stably by a per-row left flag. That
+// is O(F·n) per node with no sort. The order is pinned, so a tree is a
+// function of (X, y, counts, params, rng) alone: a node's sums run over its
+// rows in ascending row index, each row's copies back to back, and a scan
+// tests a split only where the next row's value is larger. Ties keep the
+// first feature in scan order and the first position in the scan. The
+// naive fitter that sorts every node's rows (tests/test_helpers.hpp) is the
+// oracle; tests/test_forest_arena.cpp checks the two serialize to the same
+// bytes.
+//
+// Evaluation. A node-struct walk loads a 32-byte Node per hop to use at
+// most half of it. Prediction and per-tree jackknife variance dominate every
+// acquisition round (PAPER.md §IV; the fig10/fig12 hot paths), so a forest
+// keeps no trees: fit() and from_json() flatten them into one shared arena
+// of parallel arrays — split feature, threshold, left child, right child,
+// leaf value — and drop them. Every evaluation walks the arena. predict()
+// gives one row's mean (the Hunold baseline and predict_log_us use it). The
 // batched kernels give per-tree blocks: predict_trees_batch() alone, and
 // jackknife_batch(), which every selection and variance sweep runs.
 //
@@ -40,7 +56,12 @@ struct ForestParams {
 class RandomForest {
  public:
   /// Fits params.n_trees trees, tree i on the i-th seed drawn from `seed`,
-  /// and flattens them with from_trees().
+  /// and flattens them with from_trees(). With bootstrap, tree i's row
+  /// counts come from X.size() calls to index(X.size()) on its stream;
+  /// without, every count is 1. A max_features subset is drawn per split
+  /// node, in pre-order, from the same stream. The one way to grow trees.
+  /// Throws InvalidArgument on empty, misaligned or ragged input, or on a
+  /// non-finite feature or target.
   void fit(const std::vector<FeatureRow>& X, const std::vector<double>& y,
            const ForestParams& params, std::uint64_t seed);
 

@@ -1,15 +1,16 @@
-// CART regression tree.
+// CART regression tree: the fitted node array and its scalar walk.
 //
-// Splits minimize the weighted sum of child variances (equivalently,
-// maximize variance reduction), the criterion scikit-learn's
-// DecisionTreeRegressor uses — the paper's model family (§V).
+// Trees are grown only by RandomForest::fit (forest.hpp states the split
+// rule, the pinned row order and the oracle the fitter is tested against);
+// a DecisionTree is what that fitter emits and what from_json() parses, and
+// the forest flattens it into its arena.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "util/json.hpp"
-#include "util/rng.hpp"
 
 namespace acclaim::ml {
 
@@ -24,29 +25,12 @@ struct TreeParams {
   int max_features = -1;
 };
 
-/// A fitted regression tree. Fit once, then predict; refitting replaces the
-/// model. RandomForest fits these and flattens them into its arena;
+/// A fitted regression tree: a node array with the root at index 0.
+/// RandomForest::fit grows these (every split is the one CART's variance
+/// reduction picks, see forest.hpp) and flattens them into its arena;
 /// predict() is the scalar node walk the arena kernels are tested against.
 class DecisionTree {
  public:
-  /// Fits on the rows indexed by `sample_idx` (with repetition allowed — the
-  /// forest passes bootstrap samples). All rows must share X[0].size()
-  /// features. Throws InvalidArgument on empty/ragged input.
-  void fit(const std::vector<FeatureRow>& X, const std::vector<double>& y,
-           const std::vector<std::size_t>& sample_idx, const TreeParams& params,
-           util::Rng& rng);
-
-  /// Convenience: fit on all rows.
-  void fit(const std::vector<FeatureRow>& X, const std::vector<double>& y,
-           const TreeParams& params, util::Rng& rng);
-
-  double predict(const FeatureRow& row) const;
-
-  bool fitted() const noexcept { return !nodes_.empty(); }
-  std::size_t node_count() const noexcept { return nodes_.size(); }
-  int depth() const noexcept { return depth_; }
-  std::size_t n_features() const noexcept { return n_features_; }
-
   struct Node {
     int feature = -1;         ///< -1 marks a leaf
     double threshold = 0.0;   ///< go left if x[feature] <= threshold
@@ -54,6 +38,21 @@ class DecisionTree {
     std::int32_t right = -1;
     double value = 0.0;       ///< leaf prediction (mean of samples)
   };
+
+  /// An unfitted tree.
+  DecisionTree() = default;
+
+  /// A tree over `n_features` features from its pre-order node array.
+  /// Throws InvalidArgument on an empty array, no features, a negative
+  /// depth, a split feature out of range or a child index out of range.
+  DecisionTree(std::vector<Node> nodes, std::size_t n_features, int depth);
+
+  double predict(const FeatureRow& row) const;
+
+  bool fitted() const noexcept { return !nodes_.empty(); }
+  std::size_t node_count() const noexcept { return nodes_.size(); }
+  int depth() const noexcept { return depth_; }
+  std::size_t n_features() const noexcept { return n_features_; }
 
   /// Read access to the fitted node array (root at index 0) — the source
   /// RandomForest::from_trees flattens into the forest arena.
@@ -65,11 +64,6 @@ class DecisionTree {
   static DecisionTree from_json(const util::Json& doc);
 
  private:
-
-  std::int32_t build(const std::vector<FeatureRow>& X, const std::vector<double>& y,
-                     std::vector<std::size_t>& idx, std::size_t begin, std::size_t end,
-                     int depth, const TreeParams& params, util::Rng& rng);
-
   std::vector<Node> nodes_;
   std::size_t n_features_ = 0;
   int depth_ = 0;

@@ -113,6 +113,73 @@ TEST(ForestArenaBuild, FitEqualsFromTreesOfTreesFitWithTheSameSeeds) {
   }
 }
 
+/// A tie-heavy training set shaped like the learner's: grid-valued axes
+/// (small integers, as log2 nodes/ppn/msg are) and a one-hot block, with
+/// repeated rows, repeated targets and sometimes a constant target.
+void tie_heavy_data(util::Rng& rng, std::vector<ml::FeatureRow>& X, std::vector<double>& y) {
+  X.clear();
+  y.clear();
+  const auto n_axes = static_cast<std::size_t>(rng.uniform_int(1, 3));
+  const auto n_onehot = static_cast<std::size_t>(rng.uniform_int(0, 5));
+  const auto n_rows = static_cast<std::size_t>(rng.uniform_int(1, 70));
+  const int grid = static_cast<int>(rng.uniform_int(1, 6));
+  const bool constant = rng.uniform(0.0, 1.0) < 0.15;
+  for (std::size_t i = 0; i < n_rows; ++i) {
+    if (i > 0 && rng.uniform(0.0, 1.0) < 0.25) {
+      // A repeated row, with its own target or the same one.
+      const std::size_t j = rng.index(i);
+      X.push_back(X[j]);
+      y.push_back(rng.uniform(0.0, 1.0) < 0.5 ? y[j] : static_cast<double>(rng.uniform_int(0, 4)));
+      continue;
+    }
+    ml::FeatureRow row;
+    for (std::size_t a = 0; a < n_axes; ++a) {
+      row.push_back(static_cast<double>(rng.uniform_int(0, grid)));
+    }
+    const std::size_t hot = n_onehot > 0 ? rng.index(n_onehot) : 0;
+    for (std::size_t k = 0; k < n_onehot; ++k) {
+      row.push_back(k == hot ? 1.0 : 0.0);
+    }
+    X.push_back(std::move(row));
+    // Small-integer targets tie; the rest are continuous.
+    y.push_back(constant                         ? 2.5
+                : rng.uniform(0.0, 1.0) < 0.5 ? static_cast<double>(rng.uniform_int(0, 4))
+                                              : rng.uniform(-2.0, 2.0));
+  }
+}
+
+TEST(ForestFit, MatchesTheNaiveOracleOnTieHeavyData) {
+  // The presorted fitter grows exactly the trees the per-node-sort oracle
+  // grows in the pinned (value, row) order, for every TreeParams knob, with
+  // and without bootstrap: the forests serialize to the same bytes.
+  util::Rng rng(8128);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<ml::FeatureRow> X;
+    std::vector<double> y;
+    tie_heavy_data(rng, X, y);
+    const auto n_features = static_cast<int>(X[0].size());
+    ml::ForestParams params;
+    params.n_trees = static_cast<int>(rng.uniform_int(1, 6));
+    params.bootstrap = trial % 2 == 0;
+    params.tree.max_depth = rng.uniform(0.0, 1.0) < 0.3 ? static_cast<int>(rng.uniform_int(0, 4))
+                                                      : 32;
+    params.tree.min_samples_leaf = static_cast<int>(rng.uniform_int(1, 4));
+    params.tree.min_samples_split = static_cast<int>(rng.uniform_int(2, 6));
+    params.tree.max_features =
+        rng.uniform(0.0, 1.0) < 0.4 ? static_cast<int>(rng.uniform_int(1, n_features)) : -1;
+    const auto seed = static_cast<std::uint64_t>(1000 + trial);
+    ml::RandomForest fitted;
+    fitted.fit(X, y, params, seed);
+    const ml::RandomForest oracle = ml::RandomForest::from_trees(fit_trees(X, y, params, seed));
+    ASSERT_EQ(fitted.to_json().dump(), oracle.to_json().dump())
+        << "trial=" << trial << " rows=" << X.size() << " features=" << n_features
+        << " bootstrap=" << params.bootstrap << " max_depth=" << params.tree.max_depth
+        << " min_samples_leaf=" << params.tree.min_samples_leaf
+        << " min_samples_split=" << params.tree.min_samples_split
+        << " max_features=" << params.tree.max_features;
+  }
+}
+
 TEST(ForestArenaBuild, RejectsEmptyUnfittedAndMixedWidthTrees) {
   EXPECT_THROW(ml::RandomForest::from_trees({}), InvalidArgument);
   EXPECT_THROW(ml::RandomForest::from_trees({ml::DecisionTree{}}), InvalidArgument);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "ml/forest.hpp"
 #include "ml/metrics.hpp"
@@ -20,6 +21,7 @@ using ml::FeatureRow;
 using ml::ForestParams;
 using ml::RandomForest;
 using ml::TreeParams;
+using testing_support::fit_tree;
 
 struct Synth {
   std::vector<FeatureRow> X;
@@ -41,9 +43,7 @@ Synth make_synth(std::size_t n, double noise, std::uint64_t seed) {
 }
 
 TEST(DecisionTree, FitsConstantTarget) {
-  DecisionTree t;
-  util::Rng rng(1);
-  t.fit({{0.0}, {1.0}, {2.0}}, {5.0, 5.0, 5.0}, TreeParams{}, rng);
+  const DecisionTree t = fit_tree({{0.0}, {1.0}, {2.0}}, {5.0, 5.0, 5.0}, TreeParams{});
   EXPECT_DOUBLE_EQ(t.predict({0.5}), 5.0);
   EXPECT_DOUBLE_EQ(t.predict({9.0}), 5.0);
   EXPECT_EQ(t.node_count(), 1u);  // pure target -> single leaf
@@ -51,9 +51,7 @@ TEST(DecisionTree, FitsConstantTarget) {
 
 TEST(DecisionTree, LearnsStepFunctionExactly) {
   const Synth s = make_synth(400, 0.0, 2);
-  DecisionTree t;
-  util::Rng rng(1);
-  t.fit(s.X, s.y, TreeParams{}, rng);
+  const DecisionTree t = fit_tree(s.X, s.y, TreeParams{});
   for (std::size_t i = 0; i < s.X.size(); ++i) {
     EXPECT_NEAR(t.predict(s.X[i]), s.y[i], 1e-9);
   }
@@ -61,56 +59,77 @@ TEST(DecisionTree, LearnsStepFunctionExactly) {
 
 TEST(DecisionTree, GeneralizesAStep) {
   const Synth s = make_synth(500, 0.1, 3);
-  DecisionTree t;
-  util::Rng rng(1);
   TreeParams p;
   p.min_samples_leaf = 5;
-  t.fit(s.X, s.y, p, rng);
+  const DecisionTree t = fit_tree(s.X, s.y, p);
   EXPECT_NEAR(t.predict({2.0, 0.5}), 1.5, 1.0);
   EXPECT_NEAR(t.predict({8.0, 0.5}), 11.5, 1.0);
 }
 
 TEST(DecisionTree, RespectsMaxDepth) {
   const Synth s = make_synth(300, 0.0, 4);
-  DecisionTree t;
-  util::Rng rng(1);
   TreeParams p;
   p.max_depth = 3;
-  t.fit(s.X, s.y, p, rng);
+  const DecisionTree t = fit_tree(s.X, s.y, p);
   EXPECT_LE(t.depth(), 3);
 }
 
 TEST(DecisionTree, MinSamplesLeafBoundsLeafSize) {
   const Synth s = make_synth(128, 0.5, 5);
-  DecisionTree deep;
-  DecisionTree shallow;
-  util::Rng rng(1);
   TreeParams p1;
   p1.min_samples_leaf = 1;
-  deep.fit(s.X, s.y, p1, rng);
+  const DecisionTree deep = fit_tree(s.X, s.y, p1);
   TreeParams p2;
   p2.min_samples_leaf = 32;
-  shallow.fit(s.X, s.y, p2, rng);
+  const DecisionTree shallow = fit_tree(s.X, s.y, p2);
   EXPECT_LT(shallow.node_count(), deep.node_count());
 }
 
 TEST(DecisionTree, RejectsBadInput) {
+  EXPECT_THROW(fit_tree({}, {}, TreeParams{}), InvalidArgument);
+  EXPECT_THROW(fit_tree({{1.0}}, {1.0, 2.0}, TreeParams{}), InvalidArgument);
+  EXPECT_THROW(fit_tree({{1.0}, {1.0, 2.0}}, {1.0, 2.0}, TreeParams{}), InvalidArgument);
   DecisionTree t;
-  util::Rng rng(1);
-  EXPECT_THROW(t.fit({}, {}, TreeParams{}, rng), InvalidArgument);
-  EXPECT_THROW(t.fit({{1.0}}, {1.0, 2.0}, TreeParams{}, rng), InvalidArgument);
-  EXPECT_THROW(t.fit({{1.0}, {1.0, 2.0}}, {1.0, 2.0}, TreeParams{}, rng), InvalidArgument);
   EXPECT_THROW(t.predict({1.0}), InvalidArgument);  // not fitted
-  t.fit({{1.0}, {2.0}}, {1.0, 2.0}, TreeParams{}, rng);
+  t = fit_tree({{1.0}, {2.0}}, {1.0, 2.0}, TreeParams{});
   EXPECT_THROW(t.predict({1.0, 2.0}), InvalidArgument);  // wrong width
 }
 
 TEST(DecisionTree, BootstrapSampleIndicesRespected) {
-  // Fitting on indices {0,0,0} must ignore the other rows entirely.
-  DecisionTree t;
-  util::Rng rng(1);
-  t.fit({{1.0}, {2.0}}, {7.0, 99.0}, {0, 0, 0}, TreeParams{}, rng);
-  EXPECT_DOUBLE_EQ(t.predict({2.0}), 7.0);
+  // A row the bootstrap never draws must not shape its tree. The counts come
+  // from N calls to index(N) on the tree's stream (the first draw of
+  // Rng(seed)), so pick a seed whose one tree draws row 0 twice.
+  std::uint64_t seed = 0;
+  for (; seed < 64; ++seed) {
+    util::Rng rng(seed);
+    util::Rng tree_rng(rng.next_u64());
+    const std::size_t first = tree_rng.index(2);
+    if (first == 0 && tree_rng.index(2) == 0) {
+      break;
+    }
+  }
+  ASSERT_LT(seed, 64u);
+  ForestParams p;
+  p.n_trees = 1;
+  RandomForest f;
+  f.fit({{1.0}, {2.0}}, {7.0, 99.0}, p, seed);
+  EXPECT_DOUBLE_EQ(f.predict({2.0}), 7.0);
+}
+
+TEST(RandomForest, RejectsNonFiniteInput) {
+  // A NaN leaves the (value, row) order undefined, so fit refuses it.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  RandomForest f;
+  ForestParams p;
+  p.n_trees = 2;
+  EXPECT_THROW(f.fit({{1.0}, {nan}, {3.0}}, {1.0, 2.0, 3.0}, p, 1), InvalidArgument);
+  EXPECT_THROW(f.fit({{1.0}, {-inf}, {3.0}}, {1.0, 2.0, 3.0}, p, 1), InvalidArgument);
+  EXPECT_THROW(f.fit({{1.0}, {2.0}, {3.0}}, {1.0, nan, 3.0}, p, 1), InvalidArgument);
+  EXPECT_THROW(f.fit({{1.0}, {2.0}, {3.0}}, {inf, 2.0, 3.0}, p, 1), InvalidArgument);
+  EXPECT_FALSE(f.fitted());
+  f.fit({{1.0}, {2.0}, {3.0}}, {1.0, 2.0, 3.0}, p, 1);
+  EXPECT_TRUE(f.fitted());
 }
 
 TEST(RandomForest, PredictIsMeanOfTrees) {
@@ -147,9 +166,7 @@ TEST(RandomForest, DeterministicForSeed) {
 TEST(RandomForest, SmoothsNoiseBetterThanSingleTree) {
   const Synth train = make_synth(400, 2.0, 8);
   const Synth test = make_synth(200, 0.0, 9);  // noiseless ground truth
-  DecisionTree tree;
-  util::Rng rng(1);
-  tree.fit(train.X, train.y, TreeParams{}, rng);
+  const DecisionTree tree = fit_tree(train.X, train.y, TreeParams{});
   RandomForest forest;
   ForestParams p;
   p.n_trees = 64;

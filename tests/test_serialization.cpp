@@ -51,9 +51,7 @@ core::CollectiveModel small_bcast_model(int n_trees) {
 
 TEST(TreeSerialization, RoundTripPredictionsIdentical) {
   const Synth s = make_synth(300, 1);
-  ml::DecisionTree tree;
-  util::Rng rng(2);
-  tree.fit(s.X, s.y, ml::TreeParams{}, rng);
+  const ml::DecisionTree tree = testing_support::fit_tree(s.X, s.y, ml::TreeParams{});
   // A tree's document is one entry of its forest's "trees" array.
   const util::Json doc =
       ml::RandomForest::from_trees({tree}).to_json().at("trees").as_array().front();
