@@ -1,6 +1,7 @@
 #include "core/acquisition.hpp"
 
 #include <numeric>
+#include <utility>
 
 #include "core/feature_space.hpp"
 #include "telemetry/audit.hpp"
@@ -17,7 +18,8 @@ AcquisitionPolicy::AcquisitionPolicy(VariancePick pick, int nonp2_cadence)
 void AcquisitionPolicy::observe(const bench::BenchmarkPoint&, double) {}
 
 void AcquisitionPolicy::begin_round(const CollectiveModel& model,
-                                    const std::vector<bench::BenchmarkPoint>& pool) {
+                                    const std::vector<bench::BenchmarkPoint>& pool,
+                                    std::vector<double> model_variances) {
   pool_ = &pool;
   left_.resize(pool.size());
   std::iota(left_.begin(), left_.end(), std::size_t{0});
@@ -28,7 +30,13 @@ void AcquisitionPolicy::begin_round(const CollectiveModel& model,
   // draws stay sequential over the in-order variance vector, so the picks
   // and the rng stream are independent of the thread count.
   if (const CollectiveModel* m = scorer(model)) {
-    var_ = m->jackknife_variances(pool);
+    if (m == &model && !model_variances.empty()) {
+      require(model_variances.size() == pool.size(),
+              "handed variances must cover the round's pool");
+      var_ = std::move(model_variances);
+    } else {
+      var_ = m->jackknife_variances(pool);
+    }
     sweep_evals_ =
         static_cast<std::int64_t>(pool.size()) * static_cast<std::int64_t>(m->n_trees());
   }

@@ -55,7 +55,11 @@ class AcquisitionPolicy {
   /// Starts a round over `pool`, which must stay unchanged until the round's
   /// last accept(): scores every entry once, or none when the policy draws
   /// uniformly (random sampling, an untrained scoring model).
-  void begin_round(const CollectiveModel& model, const std::vector<bench::BenchmarkPoint>& pool);
+  /// `model_variances`, when not empty, holds `model`'s jackknife variance of
+  /// each pool entry, from a sweep the caller already ran under it; a policy
+  /// that scores with `model` itself takes them instead of sweeping again.
+  void begin_round(const CollectiveModel& model, const std::vector<bench::BenchmarkPoint>& pool,
+                   std::vector<double> model_variances = {});
 
   /// Draws a pool index not yet drawn this round: with probability ∝ score
   /// (WeightedSampling), the top score (Argmax), or uniformly when the round

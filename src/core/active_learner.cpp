@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <set>
 #include <utility>
 
@@ -55,6 +56,12 @@ TrainingResult ActiveLearner::run() {
   const telemetry::Span span("learner.run");
   const std::vector<bench::BenchmarkPoint> candidates = space_.candidates(collective_);
   std::vector<bench::BenchmarkPoint> pool = candidates;
+  // pool[i] is candidates[pool_ids[i]].
+  std::vector<std::size_t> pool_ids(candidates.size());
+  std::iota(pool_ids.begin(), pool_ids.end(), std::size_t{0});
+  // The current model's jackknife variance of every candidate, from the
+  // convergence sweep; empty until that sweep runs and after every refit.
+  std::vector<double> candidate_var;
   const std::size_t cap = config_.max_points < 0
                               ? candidates.size()
                               : std::min<std::size_t>(candidates.size(),
@@ -118,13 +125,16 @@ TrainingResult ActiveLearner::run() {
   const std::size_t refit_floor = warm_ ? 1u : kSeedPoints;
   static telemetry::Counter& refit_counter = telemetry::metrics().counter("model_refits");
   auto refit = [&](bool force) {
-    const bool due = result.collected.size() >= points_at_last_fit +
-                                                    static_cast<std::size_t>(config_.refit_every);
-    if (result.collected.size() >= refit_floor && (force || due)) {
+    // Without a fresh point a refit would fit the same data with the same
+    // seed, and so the same forest.
+    const std::size_t fresh = result.collected.size() - points_at_last_fit;
+    const bool due = fresh >= static_cast<std::size_t>(config_.refit_every);
+    if (result.collected.size() >= refit_floor && fresh > 0 && (force || due)) {
       // A constant seed keeps consecutive refits highly correlated (most
       // bootstrap draws coincide), so the cumulative-variance signal tracks
       // the *data*, not resampling jitter.
       result.model.fit(fit_points(), config_.seed);
+      candidate_var.clear();
       points_at_last_fit = result.collected.size();
       refit_counter.add();
       if (telemetry::tracer().enabled()) {
@@ -144,7 +154,18 @@ TrainingResult ActiveLearner::run() {
     // first misfit, the cap or a full allocation; without one (dataset
     // lookups) a round is one pick, as it is until the first fit (the
     // random seed phase).
-    policy_.begin_round(result.model, pool);
+    //
+    // The model has not changed since the last convergence sweep, so its
+    // variances of the pool entries are the ones a scoring sweep would
+    // compute: a row's jackknife result does not depend on its sweep block.
+    std::vector<double> pool_var;
+    if (!candidate_var.empty()) {
+      pool_var.reserve(pool.size());
+      for (const std::size_t id : pool_ids) {
+        pool_var.push_back(candidate_var[id]);
+      }
+    }
+    policy_.begin_round(result.model, pool, std::move(pool_var));
     CollectionBatch batch;
     if (topo != nullptr && alloc != nullptr) {
       const std::size_t room = result.model.trained() ? cap - result.collected.size() : 1;
@@ -166,6 +187,7 @@ TrainingResult ActiveLearner::run() {
     std::sort(batch.consumed.rbegin(), batch.consumed.rend());
     for (std::size_t idx : batch.consumed) {
       pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(idx));
+      pool_ids.erase(pool_ids.begin() + static_cast<std::ptrdiff_t>(idx));
     }
 
     refit(/*force=*/false);
@@ -176,7 +198,10 @@ TrainingResult ActiveLearner::run() {
     rec.clock_s = env_.clock_s() - clock_start_s;
     rec.batch_size = static_cast<int>(batch.items.size());
     if (result.model.trained()) {
-      rec.cumulative_variance = result.model.cumulative_variance(candidates);
+      // The one sweep per refit: the convergence proxy, kept to score the
+      // next round's pool.
+      candidate_var = result.model.jackknife_variances(candidates);
+      rec.cumulative_variance = std::accumulate(candidate_var.begin(), candidate_var.end(), 0.0);
       if (monitor_) {
         rec.avg_slowdown = monitor_(result.model);
       }

@@ -287,6 +287,44 @@ TEST_F(PolicyTest, RoundDrawsEveryEntryOnceFromOneSweep) {
   }
 }
 
+TEST_F(PolicyTest, RoundHandedTheModelsVariancesDrawsWhatASweepingRoundDraws) {
+  // The learner hands a round the variances its convergence sweep computed
+  // under the same model: the round then sweeps nothing and draws the same
+  // picks from the same rng as a round that sweeps the pool itself.
+  const telemetry::Histogram& sweeps =
+      telemetry::metrics().histogram("model.variance_sweep_ms", {0.01, 32});
+  // Variances of the pool as a slice of a larger sweep (other blocks).
+  std::vector<BenchmarkPoint> wider = pool_;
+  wider.insert(wider.begin(), pool_.begin() + 3, pool_.begin() + 10);
+  std::vector<double> handed = model_.jackknife_variances(wider);
+  handed.erase(handed.begin(), handed.begin() + 7);
+  for (const core::VariancePick pick :
+       {core::VariancePick::WeightedSampling, core::VariancePick::Argmax}) {
+    core::AcclaimAcquisition sweeping(core::AcclaimAcquisitionConfig{0, pick});
+    core::AcclaimAcquisition reusing(core::AcclaimAcquisitionConfig{0, pick});
+    util::Rng rng_a(23);
+    util::Rng rng_b(23);
+    sweeping.begin_round(model_, pool_);
+    const std::uint64_t before = sweeps.count();
+    reusing.begin_round(model_, pool_, handed);
+    EXPECT_EQ(sweeps.count(), before);
+    for (std::size_t k = 0; k < pool_.size(); ++k) {
+      ASSERT_EQ(sweeping.draw(rng_a), reusing.draw(rng_b)) << "draw " << k;
+    }
+    EXPECT_EQ(rng_a.next_u64(), rng_b.next_u64());
+  }
+  // A policy that scores with another model sweeps with it regardless.
+  core::RandomAcquisition random;
+  random.begin_round(model_, pool_, handed);
+  core::SurrogateAcquisition fact(Collective::Bcast, 5);
+  fact.observe(pool_[0], testing_support::small_dataset().at(pool_[0]).mean_us);
+  fact.observe(pool_[1], testing_support::small_dataset().at(pool_[1]).mean_us);
+  const std::uint64_t before = sweeps.count();
+  fact.begin_round(model_, pool_, handed);
+  EXPECT_EQ(sweeps.count() - before, 1u);
+  EXPECT_EQ(fact.surrogate_trainings(), 1);
+}
+
 TEST_F(PolicyTest, SurrogateLearnsFromObservations) {
   core::SurrogateAcquisition policy(Collective::Bcast, 5);
   // Before any observation: random behaviour, no trainings.

@@ -400,6 +400,46 @@ TEST_F(LearnerTest, MisfitDrawStaysInThePoolAndLeavesNoTrace) {
   EXPECT_EQ(static_cast<std::size_t>(records), candidates.size());
 }
 
+TEST_F(LearnerTest, OneSweepPerRefitAndNoIdleClosingRefit) {
+  // A cold dataset run capped at 20 points, one pick per round: rounds 5-20
+  // each refit once, and the convergence sweep after each refit is the only
+  // sweep, because the next round scores its pool from it. The run stops at
+  // the cap right after a refit, so no closing refit follows.
+  core::DatasetEnvironment env(ds_);
+  core::AcclaimAcquisition policy;
+  core::ActiveLearnerConfig cfg = fast_config();
+  cfg.max_points = 20;
+  cfg.patience = 1 << 20;
+  const telemetry::Counter& fits = telemetry::metrics().counter("ml.forest.fits");
+  const telemetry::Counter& refits = telemetry::metrics().counter("model_refits");
+  const telemetry::Histogram& sweeps =
+      telemetry::metrics().histogram("model.variance_sweep_ms", {0.01, 32});
+  const std::uint64_t fits_before = fits.value();
+  const std::uint64_t refits_before = refits.value();
+  const std::uint64_t sweeps_before = sweeps.count();
+  telemetry::tracer().enable_ring(1 << 16);
+  core::ActiveLearner learner(Collective::Bcast, space_, env, policy, cfg);
+  const core::TrainingResult result = learner.run();
+  const std::vector<telemetry::TraceEvent> trace = telemetry::tracer().ring_snapshot();
+  telemetry::tracer().disable();
+
+  ASSERT_EQ(result.collected.size(), 20u);
+  ASSERT_EQ(result.iterations, 20);
+  EXPECT_EQ(fits.value() - fits_before, 16u);
+  EXPECT_EQ(refits.value() - refits_before, 16u);
+  EXPECT_EQ(sweeps.count() - sweeps_before, fits.value() - fits_before);
+  std::vector<std::int64_t> refit_points;
+  for (const telemetry::TraceEvent& ev : trace) {
+    if (ev.kind == telemetry::EventKind::ModelRefit) {
+      refit_points.push_back(ev.fields.at("points").as_int());
+    }
+  }
+  ASSERT_EQ(refit_points.size(), 16u);
+  EXPECT_EQ(refit_points.front(), 5);
+  EXPECT_EQ(refit_points.back(), 20);
+  EXPECT_EQ(result.model.training_points(), 20u);
+}
+
 TEST_F(LearnerTest, PickLargerThanTheAllocationThrows) {
   // An 8-node candidate cannot fit a 4-node allocation even when it is
   // empty: the round fails instead of coming back empty forever.
