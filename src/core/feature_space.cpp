@@ -8,25 +8,32 @@
 namespace acclaim::core {
 
 ml::FeatureRow encode_point(const bench::BenchmarkPoint& p) {
-  const auto algs = coll::algorithms_for(p.scenario.collective);
-  int alg_index = -1;
-  for (std::size_t i = 0; i < algs.size(); ++i) {
-    if (algs[i] == p.algorithm) {
-      alg_index = static_cast<int>(i);
-      break;
+  // The one-hot slot is the algorithm's position in algorithms_for()'s order
+  // (the table's non-experimental entries of the collective), found by
+  // walking the table in place: every sweep row is encoded, so no list.
+  std::size_t n_algs = 0;
+  std::size_t slot = 0;
+  bool found = false;
+  for (const coll::AlgorithmInfo& info : coll::all_algorithms()) {
+    if (info.collective != p.scenario.collective || info.experimental) {
+      continue;
     }
+    if (info.alg == p.algorithm) {
+      slot = n_algs;
+      found = true;
+    }
+    ++n_algs;
   }
-  require(alg_index >= 0, "algorithm does not implement the point's collective");
+  require(found, "algorithm does not implement the point's collective");
   // Log2 axes plus a one-hot algorithm block: one-hot lets a tree isolate
   // any algorithm with a single split, which matters because algorithms of
   // the same collective can differ by an order of magnitude at the same
   // (nodes, ppn, msg) point.
-  ml::FeatureRow row = {std::log2(static_cast<double>(p.scenario.nnodes)),
-                        std::log2(static_cast<double>(p.scenario.ppn)),
-                        std::log2(static_cast<double>(p.scenario.msg_bytes))};
-  for (std::size_t i = 0; i < algs.size(); ++i) {
-    row.push_back(i == static_cast<std::size_t>(alg_index) ? 1.0 : 0.0);
-  }
+  ml::FeatureRow row(3 + n_algs, 0.0);
+  row[0] = std::log2(static_cast<double>(p.scenario.nnodes));
+  row[1] = std::log2(static_cast<double>(p.scenario.ppn));
+  row[2] = std::log2(static_cast<double>(p.scenario.msg_bytes));
+  row[3 + slot] = 1.0;
   return row;
 }
 

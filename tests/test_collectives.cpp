@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -101,6 +102,13 @@ struct Case {
   std::uint64_t count;
   int root;
 };
+
+/// gtest prints each parameter into the registered test name. Print the
+/// fields: the default byte dump would include Case's uninitialized tail
+/// padding, so the names would change from build to build.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << algorithm_info(c.alg).name << " n" << c.nranks << " c" << c.count << " r" << c.root;
+}
 
 std::string case_name(const testing::TestParamInfo<Case>& info) {
   const auto& c = info.param;

@@ -4,6 +4,7 @@
 // rank counts and roots.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,13 @@ struct Case {
   std::uint64_t count;
   int root;
 };
+
+/// gtest prints each parameter into the registered test name. Print the
+/// fields: the default byte dump would include Case's uninitialized tail
+/// padding, so the names would change from build to build.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << algorithm_info(c.alg).name << " n" << c.nranks << " c" << c.count << " r" << c.root;
+}
 
 std::string case_name(const testing::TestParamInfo<Case>& info) {
   const auto& c = info.param;

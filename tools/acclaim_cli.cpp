@@ -476,9 +476,11 @@ int cmd_breakeven(const cli::Args& args) {
   const double training_s = args.get_double("training", 300.0);
   if (args.has("speedup")) {
     const double s = args.get_double("speedup", 1.01);
+    // Validated before anything is streamed: a failing run prints no stdout.
+    const double runtime_s = platform::breakeven_runtime_s(training_s, s);
     std::cout << "training " << util::format_seconds(training_s) << " at " << s
-              << "x app speedup -> break-even runtime "
-              << util::format_seconds(platform::breakeven_runtime_s(training_s, s)) << "\n";
+              << "x app speedup -> break-even runtime " << util::format_seconds(runtime_s)
+              << "\n";
     return 0;
   }
   util::TablePrinter table({"speedup", "break-even runtime"});
