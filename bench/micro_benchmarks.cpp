@@ -238,7 +238,8 @@ struct SweepFixture {
     ml::ForestParams params;
     params.n_trees = 50;
     forest.fit(rows, y, params, 7);
-    for (const util::Json& tree : forest.to_json().at("trees").as_array()) {
+    const util::Json doc = forest.to_json();
+    for (const util::Json& tree : doc.at("trees").as_array()) {
       trees.push_back(ml::DecisionTree::from_json(tree));
     }
   }
