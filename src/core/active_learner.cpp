@@ -59,9 +59,11 @@ TrainingResult ActiveLearner::run() {
   // pool[i] is candidates[pool_ids[i]].
   std::vector<std::size_t> pool_ids(candidates.size());
   std::iota(pool_ids.begin(), pool_ids.end(), std::size_t{0});
-  // The current model's jackknife variance of every candidate, from the
-  // convergence sweep; empty until that sweep runs and after every refit.
+  // The current model's jackknife variance of every candidate and their
+  // sum, from the convergence sweep; empty until that sweep runs and after
+  // every refit, so the model is swept once per refit.
   std::vector<double> candidate_var;
+  double candidate_var_sum = 0.0;
   const std::size_t cap = config_.max_points < 0
                               ? candidates.size()
                               : std::min<std::size_t>(candidates.size(),
@@ -199,9 +201,13 @@ TrainingResult ActiveLearner::run() {
     rec.batch_size = static_cast<int>(batch.items.size());
     if (result.model.trained()) {
       // The one sweep per refit: the convergence proxy, kept to score the
-      // next round's pool.
-      candidate_var = result.model.jackknife_variances(candidates);
-      rec.cumulative_variance = std::accumulate(candidate_var.begin(), candidate_var.end(), 0.0);
+      // pools of the rounds until the next refit. The sum is a fixed-order
+      // serial one, so it does not vary with the thread count.
+      if (candidate_var.empty()) {
+        candidate_var = result.model.jackknife_variances(candidates);
+        candidate_var_sum = std::accumulate(candidate_var.begin(), candidate_var.end(), 0.0);
+      }
+      rec.cumulative_variance = candidate_var_sum;
       if (monitor_) {
         rec.avg_slowdown = monitor_(result.model);
       }

@@ -97,16 +97,6 @@ std::vector<double> CollectiveModel::jackknife_variances(
   return out;
 }
 
-double CollectiveModel::cumulative_variance(
-    const std::vector<bench::BenchmarkPoint>& candidates) const {
-  const std::vector<double> var = jackknife_variances(candidates);
-  double sum = 0.0;
-  for (double v : var) {
-    sum += v;
-  }
-  return sum;
-}
-
 util::Json CollectiveModel::to_json() const {
   require(trained(), "cannot serialize an untrained model");
   util::Json doc = util::Json::object();

@@ -82,20 +82,14 @@ class CollectiveModel {
 
   /// Jackknife variance of the per-tree log-time predictions (§IV-A) for
   /// every point, in order — the sweep the acquisition policy and the
-  /// convergence proxy share. Fixed-size blocks of candidates run the
+  /// convergence proxy share (the learner sums it in order, serially, into
+  /// the cumulative variance of §IV-C). Fixed-size blocks of candidates run the
   /// forest's fused SoA predict+jackknife kernel on the global thread pool,
   /// one result slot per point; per-point values are a pure function of the
   /// point, so the vector is bitwise-identical for any thread count (and to
   /// sweeping each point alone).
   std::vector<double> jackknife_variances(
       const std::vector<bench::BenchmarkPoint>& points) const;
-
-  /// Sum of jackknife variances over a candidate set — the cumulative
-  /// variance used as the test-set-free convergence proxy (§IV-C). The
-  /// per-candidate sweep is parallel; the reduction is a fixed-order serial
-  /// sum (a parallel reduction would change the floating-point result with
-  /// the thread count).
-  double cumulative_variance(const std::vector<bench::BenchmarkPoint>& candidates) const;
 
   /// The algorithm with the lowest predicted time for the scenario; ties
   /// keep the earlier algorithm in algorithms_for() order.

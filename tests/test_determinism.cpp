@@ -163,7 +163,6 @@ TEST(GoldenDeterminism, CollectiveModelVarianceSweepIdenticalAcrossThreads) {
   core::CollectiveModel ref(coll::Collective::Bcast);
   ref.fit(data, 1234);
   const std::vector<double> ref_var = ref.jackknife_variances(pool);
-  const double ref_cum = ref.cumulative_variance(pool);
   ASSERT_EQ(ref_var.size(), pool.size());
 
   for (int threads : kThreadCounts) {
@@ -176,7 +175,6 @@ TEST(GoldenDeterminism, CollectiveModelVarianceSweepIdenticalAcrossThreads) {
     for (std::size_t i = 0; i < var.size(); ++i) {
       ASSERT_EQ(var[i], ref_var[i]) << "threads=" << threads << " candidate=" << i;
     }
-    EXPECT_EQ(model.cumulative_variance(pool), ref_cum) << "threads=" << threads;
   }
 }
 
@@ -185,7 +183,6 @@ TEST(GoldenDeterminism, EmptyCandidateListStaysLegalUntrained) {
   util::set_global_threads(4);
   const core::CollectiveModel untrained;
   EXPECT_TRUE(untrained.jackknife_variances({}).empty());
-  EXPECT_EQ(untrained.cumulative_variance({}), 0.0);
 }
 
 /// Exact bit pattern of a double: the byte-compare primitive for values

@@ -401,43 +401,58 @@ TEST_F(LearnerTest, MisfitDrawStaysInThePoolAndLeavesNoTrace) {
 }
 
 TEST_F(LearnerTest, OneSweepPerRefitAndNoIdleClosingRefit) {
-  // A cold dataset run capped at 20 points, one pick per round: rounds 5-20
-  // each refit once, and the convergence sweep after each refit is the only
-  // sweep, because the next round scores its pool from it. The run stops at
-  // the cap right after a refit, so no closing refit follows.
-  core::DatasetEnvironment env(ds_);
-  core::AcclaimAcquisition policy;
-  core::ActiveLearnerConfig cfg = fast_config();
-  cfg.max_points = 20;
-  cfg.patience = 1 << 20;
+  // Cold dataset runs, one pick per round. With a refit every point, rounds
+  // 5-20 of a 20-point run each refit once; with a refit every 4 points, a
+  // 21-point run refits at 5, 9, 13, 17 and 21. Either way the convergence
+  // sweep after each refit is the only sweep: the rounds until the next
+  // refit score their pools from it, and the convergence checks in between
+  // reuse its sum. Both runs stop at the cap right after a refit, so no
+  // closing refit follows.
+  struct Case {
+    int refit_every;
+    int cap;
+    std::vector<std::int64_t> refit_points;
+  };
+  std::vector<std::int64_t> every_point;
+  for (std::int64_t p = 5; p <= 20; ++p) {
+    every_point.push_back(p);
+  }
+  const std::vector<Case> cases = {{1, 20, every_point}, {4, 21, {5, 9, 13, 17, 21}}};
   const telemetry::Counter& fits = telemetry::metrics().counter("ml.forest.fits");
   const telemetry::Counter& refits = telemetry::metrics().counter("model_refits");
   const telemetry::Histogram& sweeps =
       telemetry::metrics().histogram("model.variance_sweep_ms", {0.01, 32});
-  const std::uint64_t fits_before = fits.value();
-  const std::uint64_t refits_before = refits.value();
-  const std::uint64_t sweeps_before = sweeps.count();
-  telemetry::tracer().enable_ring(1 << 16);
-  core::ActiveLearner learner(Collective::Bcast, space_, env, policy, cfg);
-  const core::TrainingResult result = learner.run();
-  const std::vector<telemetry::TraceEvent> trace = telemetry::tracer().ring_snapshot();
-  telemetry::tracer().disable();
+  for (const Case& c : cases) {
+    core::DatasetEnvironment env(ds_);
+    core::AcclaimAcquisition policy;
+    core::ActiveLearnerConfig cfg = fast_config();
+    cfg.max_points = c.cap;
+    cfg.refit_every = c.refit_every;
+    cfg.patience = 1 << 20;
+    const std::uint64_t fits_before = fits.value();
+    const std::uint64_t refits_before = refits.value();
+    const std::uint64_t sweeps_before = sweeps.count();
+    telemetry::tracer().enable_ring(1 << 16);
+    core::ActiveLearner learner(Collective::Bcast, space_, env, policy, cfg);
+    const core::TrainingResult result = learner.run();
+    const std::vector<telemetry::TraceEvent> trace = telemetry::tracer().ring_snapshot();
+    telemetry::tracer().disable();
 
-  ASSERT_EQ(result.collected.size(), 20u);
-  ASSERT_EQ(result.iterations, 20);
-  EXPECT_EQ(fits.value() - fits_before, 16u);
-  EXPECT_EQ(refits.value() - refits_before, 16u);
-  EXPECT_EQ(sweeps.count() - sweeps_before, fits.value() - fits_before);
-  std::vector<std::int64_t> refit_points;
-  for (const telemetry::TraceEvent& ev : trace) {
-    if (ev.kind == telemetry::EventKind::ModelRefit) {
-      refit_points.push_back(ev.fields.at("points").as_int());
+    const auto n_refits = static_cast<std::uint64_t>(c.refit_points.size());
+    ASSERT_EQ(result.collected.size(), static_cast<std::size_t>(c.cap));
+    ASSERT_EQ(result.iterations, c.cap);
+    EXPECT_EQ(fits.value() - fits_before, n_refits) << "refit_every=" << c.refit_every;
+    EXPECT_EQ(refits.value() - refits_before, n_refits) << "refit_every=" << c.refit_every;
+    EXPECT_EQ(sweeps.count() - sweeps_before, n_refits) << "refit_every=" << c.refit_every;
+    std::vector<std::int64_t> refit_points;
+    for (const telemetry::TraceEvent& ev : trace) {
+      if (ev.kind == telemetry::EventKind::ModelRefit) {
+        refit_points.push_back(ev.fields.at("points").as_int());
+      }
     }
+    EXPECT_EQ(refit_points, c.refit_points) << "refit_every=" << c.refit_every;
+    EXPECT_EQ(result.model.training_points(), static_cast<std::size_t>(c.cap));
   }
-  ASSERT_EQ(refit_points.size(), 16u);
-  EXPECT_EQ(refit_points.front(), 5);
-  EXPECT_EQ(refit_points.back(), 20);
-  EXPECT_EQ(result.model.training_points(), 20u);
 }
 
 TEST_F(LearnerTest, PickLargerThanTheAllocationThrows) {
