@@ -1,5 +1,7 @@
 #include "collectives/types.hpp"
 
+#include <array>
+
 #include "collectives/builders.hpp"
 #include "util/error.hpp"
 
@@ -150,14 +152,24 @@ const AlgorithmInfo& algorithm_info(Algorithm a) {
   return all[idx];
 }
 
-std::vector<Algorithm> algorithms_for(Collective c, bool include_experimental) {
-  std::vector<Algorithm> algs;
-  for (const AlgorithmInfo& info : all_algorithms()) {
-    if (info.collective == c && (include_experimental || !info.experimental)) {
-      algs.push_back(info.alg);
+const std::vector<Algorithm>& algorithms_for(Collective c, bool include_experimental) {
+  // [include_experimental][collective], built once: encode_point looks up
+  // every sweep row's one-hot slot here.
+  using Lists = std::array<std::array<std::vector<Algorithm>, kNumCollectives>, 2>;
+  static const Lists kLists = [] {
+    Lists lists;
+    for (const AlgorithmInfo& info : all_algorithms()) {
+      const auto idx = static_cast<std::size_t>(info.collective);
+      lists[1][idx].push_back(info.alg);
+      if (!info.experimental) {
+        lists[0][idx].push_back(info.alg);
+      }
     }
-  }
-  return algs;
+    return lists;
+  }();
+  const auto idx = static_cast<std::size_t>(c);
+  require(idx < static_cast<std::size_t>(kNumCollectives), "collective id out of range");
+  return kLists[include_experimental ? 1 : 0][idx];
 }
 
 Algorithm parse_algorithm(Collective c, const std::string& name) {

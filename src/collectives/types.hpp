@@ -164,8 +164,10 @@ const std::vector<AlgorithmInfo>& all_algorithms();
 const AlgorithmInfo& algorithm_info(Algorithm a);
 
 /// Algorithms implementing one collective, in enum order. Experimental
-/// algorithms (the SMP-aware family) are excluded unless requested.
-std::vector<Algorithm> algorithms_for(Collective c, bool include_experimental = false);
+/// algorithms (the SMP-aware family) are excluded unless requested. The
+/// lists are built once; a position in the default list is the
+/// algorithm's one-hot slot in the model's feature row.
+const std::vector<Algorithm>& algorithms_for(Collective c, bool include_experimental = false);
 
 /// Parses an algorithm by its CVAR name within a collective; throws
 /// NotFoundError if no such algorithm.

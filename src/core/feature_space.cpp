@@ -8,32 +8,20 @@
 namespace acclaim::core {
 
 ml::FeatureRow encode_point(const bench::BenchmarkPoint& p) {
-  // The one-hot slot is the algorithm's position in algorithms_for()'s order
-  // (the table's non-experimental entries of the collective), found by
-  // walking the table in place: every sweep row is encoded, so no list.
-  std::size_t n_algs = 0;
-  std::size_t slot = 0;
-  bool found = false;
-  for (const coll::AlgorithmInfo& info : coll::all_algorithms()) {
-    if (info.collective != p.scenario.collective || info.experimental) {
-      continue;
-    }
-    if (info.alg == p.algorithm) {
-      slot = n_algs;
-      found = true;
-    }
-    ++n_algs;
-  }
-  require(found, "algorithm does not implement the point's collective");
+  // The one-hot slot is the algorithm's position in algorithms_for()'s
+  // list, which is built once: every sweep row is encoded.
+  const std::vector<coll::Algorithm>& algs = coll::algorithms_for(p.scenario.collective);
+  const auto it = std::find(algs.begin(), algs.end(), p.algorithm);
+  require(it != algs.end(), "algorithm does not implement the point's collective");
   // Log2 axes plus a one-hot algorithm block: one-hot lets a tree isolate
   // any algorithm with a single split, which matters because algorithms of
   // the same collective can differ by an order of magnitude at the same
   // (nodes, ppn, msg) point.
-  ml::FeatureRow row(3 + n_algs, 0.0);
+  ml::FeatureRow row(3 + algs.size(), 0.0);
   row[0] = std::log2(static_cast<double>(p.scenario.nnodes));
   row[1] = std::log2(static_cast<double>(p.scenario.ppn));
   row[2] = std::log2(static_cast<double>(p.scenario.msg_bytes));
-  row[3 + slot] = 1.0;
+  row[3 + static_cast<std::size_t>(it - algs.begin())] = 1.0;
   return row;
 }
 
