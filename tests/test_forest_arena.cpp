@@ -74,45 +74,6 @@ ml::ForestParams forest_params(int n_trees) {
   return params;
 }
 
-TEST(ForestArenaBuild, ArenaCoversEveryNodeOfEveryTree) {
-  util::Rng rng(11);
-  std::vector<ml::FeatureRow> X;
-  std::vector<double> y;
-  random_data(rng, 4, 120, X, y);
-  const std::vector<ml::DecisionTree> trees = fit_trees(X, y, forest_params(9), 5);
-  const ml::RandomForest forest = ml::RandomForest::from_trees(trees);
-
-  ASSERT_TRUE(forest.fitted());
-  EXPECT_EQ(forest.n_trees(), trees.size());
-  EXPECT_EQ(forest.n_features(), 4u);
-  std::size_t total = 0;
-  for (const ml::DecisionTree& tree : trees) {
-    total += tree.node_count();
-  }
-  EXPECT_EQ(forest.n_nodes(), total);
-}
-
-TEST(ForestArenaBuild, FitEqualsFromTreesOfTreesFitWithTheSameSeeds) {
-  // fit() is exactly "fit tree i on the i-th seed, then from_trees": the
-  // arena it keeps serializes to the same bytes and answers the same bits.
-  util::Rng rng(61);
-  std::vector<ml::FeatureRow> X;
-  std::vector<double> y;
-  random_data(rng, 3, 80, X, y);
-  for (const bool bootstrap : {true, false}) {
-    ml::ForestParams params = forest_params(13);
-    params.bootstrap = bootstrap;
-    params.tree.max_features = 2;
-    ml::RandomForest fitted;
-    fitted.fit(X, y, params, 29);
-    const ml::RandomForest flattened = ml::RandomForest::from_trees(fit_trees(X, y, params, 29));
-    ASSERT_EQ(fitted.to_json().dump(), flattened.to_json().dump()) << "bootstrap=" << bootstrap;
-    for (const ml::FeatureRow& row : random_rows(rng, 3, 10)) {
-      ASSERT_EQ(tree_predictions(fitted, row), tree_predictions(flattened, row));
-    }
-  }
-}
-
 /// A tie-heavy training set shaped like the learner's: grid-valued axes
 /// (small integers, as log2 nodes/ppn/msg are) and a one-hot block, with
 /// repeated rows, repeated targets and sometimes a constant target.
@@ -148,25 +109,62 @@ void tie_heavy_data(util::Rng& rng, std::vector<ml::FeatureRow>& X, std::vector<
   }
 }
 
-TEST(ForestFit, MatchesTheNaiveOracleOnTieHeavyData) {
-  // The presorted fitter grows exactly the trees the per-node-sort oracle
-  // grows in the pinned (value, row) order, for every TreeParams knob, with
-  // and without bootstrap: the forests serialize to the same bytes.
-  util::Rng rng(8128);
+TEST(ForestArenaBuild, ArenaCoversEveryNodeOfEveryTree) {
+  util::Rng rng(11);
+  std::vector<ml::FeatureRow> X;
+  std::vector<double> y;
+  random_data(rng, 4, 120, X, y);
+  const std::vector<ml::DecisionTree> trees = fit_trees(X, y, forest_params(9), 5);
+  const ml::RandomForest forest = ml::RandomForest::from_trees(trees);
+
+  ASSERT_TRUE(forest.fitted());
+  EXPECT_EQ(forest.n_trees(), trees.size());
+  EXPECT_EQ(forest.n_features(), 4u);
+  std::size_t total = 0;
+  for (const ml::DecisionTree& tree : trees) {
+    total += tree.node_count();
+  }
+  EXPECT_EQ(forest.n_nodes(), total);
+}
+
+TEST(ForestArenaBuild, FitEqualsFromTreesOfTreesFitWithTheSameSeeds) {
+  // fit() is exactly "grow tree i with the per-node-sort oracle on the i-th
+  // seed, then from_trees": the arena it keeps serializes to the same bytes
+  // and answers the same bits. The presorted fitter must match the oracle's
+  // pinned (value, row) order on a continuous/integer mix and on 300
+  // tie-heavy sets, for every TreeParams knob, with and without bootstrap.
+  util::Rng rng(61);
+  std::vector<ml::FeatureRow> X;
+  std::vector<double> y;
+  random_data(rng, 3, 80, X, y);
+  for (const bool bootstrap : {true, false}) {
+    ml::ForestParams params = forest_params(13);
+    params.bootstrap = bootstrap;
+    params.tree.max_features = 2;
+    ml::RandomForest fitted;
+    fitted.fit(X, y, params, 29);
+    const ml::RandomForest flattened = ml::RandomForest::from_trees(fit_trees(X, y, params, 29));
+    ASSERT_EQ(fitted.to_json().dump(), flattened.to_json().dump()) << "bootstrap=" << bootstrap;
+    for (const ml::FeatureRow& row : random_rows(rng, 3, 10)) {
+      ASSERT_EQ(tree_predictions(fitted, row), tree_predictions(flattened, row));
+    }
+  }
+
+  util::Rng tie_rng(8128);
   for (int trial = 0; trial < 300; ++trial) {
-    std::vector<ml::FeatureRow> X;
-    std::vector<double> y;
-    tie_heavy_data(rng, X, y);
+    tie_heavy_data(tie_rng, X, y);
     const auto n_features = static_cast<int>(X[0].size());
     ml::ForestParams params;
-    params.n_trees = static_cast<int>(rng.uniform_int(1, 6));
+    params.n_trees = static_cast<int>(tie_rng.uniform_int(1, 6));
     params.bootstrap = trial % 2 == 0;
-    params.tree.max_depth = rng.uniform(0.0, 1.0) < 0.3 ? static_cast<int>(rng.uniform_int(0, 4))
-                                                      : 32;
-    params.tree.min_samples_leaf = static_cast<int>(rng.uniform_int(1, 4));
-    params.tree.min_samples_split = static_cast<int>(rng.uniform_int(2, 6));
-    params.tree.max_features =
-        rng.uniform(0.0, 1.0) < 0.4 ? static_cast<int>(rng.uniform_int(1, n_features)) : -1;
+    params.tree.max_depth = tie_rng.uniform(0.0, 1.0) < 0.3
+                                ? static_cast<int>(tie_rng.uniform_int(0, 4))
+                                : 32;
+    params.tree.min_samples_leaf = static_cast<int>(tie_rng.uniform_int(1, 4));
+    params.tree.min_samples_split = static_cast<int>(tie_rng.uniform_int(2, 6));
+    params.tree.max_features = tie_rng.uniform(0.0, 1.0) < 0.4
+                                   ? static_cast<int>(tie_rng.uniform_int(1, n_features))
+                                   : -1;
     const auto seed = static_cast<std::uint64_t>(1000 + trial);
     ml::RandomForest fitted;
     fitted.fit(X, y, params, seed);
