@@ -4,10 +4,10 @@
 // determine how long the figure harnesses and the production pipeline take.
 //
 // `--json-out DIR` switches the binary into regression-gate mode instead of
-// running google-benchmark: it times walking the fitted trees node by node
-// against the forest's fused SoA kernel on a fig10/fig12-shaped jackknife
-// sweep, checks the two paths bitwise-equal, and writes
-// DIR/BENCH_micro_forest.json for CI to parse.
+// running google-benchmark: on one thread it times walking the fitted trees
+// node by node against the forest's fused SoA kernel and its grid kernel on
+// a fig10/fig12-shaped jackknife sweep, checks all three bitwise-equal, and
+// writes DIR/BENCH_micro_forest.json for CI to parse.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -31,6 +31,7 @@
 #include "simnet/network.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -204,12 +205,14 @@ BENCHMARK(BM_EncodePoint);
 
 /// A fig10/fig12-shaped forest workload: the full bebop P2 candidate pool of
 /// one collective (every scenario x algorithm the jackknife acquisition
-/// scores per round), a bench-forest-sized ensemble trained on smooth
-/// synthetic log-times over those same encoded features. The fixture keeps
-/// the fitted trees (the node-walk reference) beside the forest flattened
-/// from them.
+/// scores per round: 6 x 6 x 18 x 2 = 1,296 rows), a bench-forest-sized
+/// ensemble trained on smooth synthetic log-times over those same encoded
+/// features. The fixture keeps the pool as rows and as its encoded grid
+/// (row i of the grid is rows[i]), and the fitted trees (the node-walk
+/// reference) beside the forest flattened from them.
 struct SweepFixture {
   std::vector<ml::FeatureRow> rows;
+  ml::ProductGrid grid;
   std::vector<ml::DecisionTree> trees;
   ml::RandomForest forest;
 
@@ -232,6 +235,7 @@ struct SweepFixture {
       y.push_back(0.4 * f[0] + 0.2 * f[1] + 0.15 * f[2] + alg_bias + rng.normal(0.0, 0.05));
       rows.push_back(f);
     }
+    grid = space.grid(coll::Collective::Allreduce);
     // The figure harnesses' bench_forest() size: 50 bootstrap trees. The
     // node-walk reference is the fitted forest's own trees, read back from
     // its document.
@@ -274,8 +278,9 @@ void walk_trees(const SweepFixture& fx, double* variances, double* means,
   }
 }
 
-/// One full jackknife sweep over the candidate pool (what jackknife_variances
-/// does once per acquisition round), walking the node-struct trees.
+/// One full jackknife sweep over the candidate pool, walking the node-struct
+/// trees row by row: the reference the fused and grid kernels are timed and
+/// checked against.
 void BM_JackknifeSweepPointer(benchmark::State& state) {
   const SweepFixture& fx = SweepFixture::instance();
   std::vector<double> var(fx.rows.size());
@@ -303,6 +308,20 @@ void BM_JackknifeSweepFused(benchmark::State& state) {
 }
 BENCHMARK(BM_JackknifeSweepFused);
 
+/// The same sweep through the grid kernel (CollectiveModel::
+/// jackknife_variances' path: no row is walked), on Arg() pool threads.
+void BM_JackknifeSweepGrid(benchmark::State& state) {
+  const SweepFixture& fx = SweepFixture::instance();
+  util::set_global_threads(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fx.forest.jackknife_grid(fx.grid));
+  }
+  util::set_global_threads(0);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(fx.rows.size()));
+}
+BENCHMARK(BM_JackknifeSweepGrid)->Arg(1)->Arg(4);
+
 /// Batched per-tree predictions alone (no jackknife reduction), SoA arena.
 void BM_FlatPredictTreesBatch(benchmark::State& state) {
   const SweepFixture& fx = SweepFixture::instance();
@@ -316,12 +335,14 @@ void BM_FlatPredictTreesBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_FlatPredictTreesBatch);
 
-/// Regression-gate mode (`--json-out DIR`): single-threaded tree-walk-vs-SoA
-/// comparison on the SweepFixture workload, bitwise-equality check, and a
-/// BENCH_micro_forest.json artifact in the house format (figure/rows/
-/// host_wall_s) so CI can fail the PR if the SoA kernel ever loses ground.
+/// Regression-gate mode (`--json-out DIR`): single-threaded tree walk vs
+/// fused SoA kernel vs grid kernel on the SweepFixture workload,
+/// bitwise-equality checks, and a BENCH_micro_forest.json artifact in the
+/// house format (figure/rows/host_wall_s) so CI fails a change that makes
+/// either kernel lose ground.
 int run_forest_gate(const std::string& out_dir) {
   const auto wall_start = std::chrono::steady_clock::now();
+  util::set_global_threads(1);
   const SweepFixture& fx = SweepFixture::instance();
   const std::size_t n = fx.rows.size();
 
@@ -346,11 +367,17 @@ int run_forest_gate(const std::string& out_dir) {
   const double flat_s = time_path([&] {
     fx.forest.jackknife_batch(fx.rows.data(), n, var_flat.data(), mean_flat.data(), scratch);
   });
+  std::vector<double> var_grid;
+  const double grid_s = time_path([&] { var_grid = fx.forest.jackknife_grid(fx.grid); });
 
   const bool bitwise_equal =
       std::memcmp(var_ptr.data(), var_flat.data(), n * sizeof(double)) == 0 &&
       std::memcmp(mean_ptr.data(), mean_flat.data(), n * sizeof(double)) == 0;
+  const bool grid_bitwise_equal =
+      var_grid.size() == n &&
+      std::memcmp(var_ptr.data(), var_grid.data(), n * sizeof(double)) == 0;
   const double speedup = ptr_s / flat_s;
+  const double grid_speedup = flat_s / grid_s;
 
   std::cout << "forest gate: " << n << " rows x " << fx.forest.n_trees() << " trees\n"
             << "  pointer   " << ptr_s * 1e3 << " ms  ("
@@ -358,7 +385,11 @@ int run_forest_gate(const std::string& out_dir) {
             << "  flat+fuse " << flat_s * 1e3 << " ms  ("
             << static_cast<double>(n) / flat_s << " rows/s)\n"
             << "  speedup   " << speedup << "x, bitwise_equal="
-            << (bitwise_equal ? "true" : "false") << "\n";
+            << (bitwise_equal ? "true" : "false") << "\n"
+            << "  grid      " << grid_s * 1e3 << " ms  ("
+            << static_cast<double>(n) / grid_s << " rows/s)\n"
+            << "  speedup   " << grid_speedup << "x over flat+fuse, bitwise_equal="
+            << (grid_bitwise_equal ? "true" : "false") << "\n";
 
   util::Json doc = util::Json::object();
   doc["figure"] = "micro_forest";
@@ -375,14 +406,18 @@ int run_forest_gate(const std::string& out_dir) {
   flat_row["speedup"] = speedup;
   flat_row["bitwise_equal"] = bitwise_equal;
   rows.push_back(std::move(flat_row));
+  util::Json grid_row = make_row("grid", grid_s);
+  grid_row["speedup"] = grid_speedup;
+  grid_row["bitwise_equal"] = grid_bitwise_equal;
+  rows.push_back(std::move(grid_row));
   doc["rows"] = std::move(rows);
   doc["host_wall_s"] =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
   std::filesystem::create_directories(out_dir);
   doc.dump_file(out_dir + "/BENCH_micro_forest.json");
 
-  if (!bitwise_equal) {
-    std::cerr << "forest gate: SoA results diverge from walking the trees\n";
+  if (!bitwise_equal || !grid_bitwise_equal) {
+    std::cerr << "forest gate: kernel results diverge from walking the trees\n";
     return 1;
   }
   return 0;

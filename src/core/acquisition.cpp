@@ -17,29 +17,43 @@ AcquisitionPolicy::AcquisitionPolicy(VariancePick pick, int nonp2_cadence)
 
 void AcquisitionPolicy::observe(const bench::BenchmarkPoint&, double) {}
 
-void AcquisitionPolicy::begin_round(const CollectiveModel& model,
-                                    const std::vector<bench::BenchmarkPoint>& pool,
-                                    std::vector<double> model_variances) {
+void AcquisitionPolicy::begin_round(const CollectiveModel& model, const ml::ProductGrid& grid,
+                                    const std::vector<bench::BenchmarkPoint>& candidates,
+                                    const std::vector<std::size_t>& pool,
+                                    const std::vector<double>& model_variances) {
+  require(candidates.size() == grid.n_rows(), "candidates must be the grid's rows");
+  for (const std::size_t id : pool) {
+    require(id < candidates.size(), "pool entry is not a candidate");
+  }
+  candidates_ = &candidates;
   pool_ = &pool;
   left_.resize(pool.size());
   std::iota(left_.begin(), left_.end(), std::size_t{0});
   var_.clear();
   sweep_evals_ = 0;
-  // The candidate sweep (fixed-size blocks of pool entries through the
-  // fused SoA predict+jackknife kernel) runs on the global thread pool; the
+  // The candidate sweep runs the grid kernel on the global thread pool; the
   // draws stay sequential over the in-order variance vector, so the picks
   // and the rng stream are independent of the thread count.
-  if (const CollectiveModel* m = scorer(model)) {
-    if (m == &model && !model_variances.empty()) {
-      require(model_variances.size() == pool.size(),
-              "handed variances must cover the round's pool");
-      var_ = std::move(model_variances);
-    } else {
-      var_ = m->jackknife_variances(pool);
-    }
-    sweep_evals_ =
-        static_cast<std::int64_t>(pool.size()) * static_cast<std::int64_t>(m->n_trees());
+  const CollectiveModel* m = scorer(model);
+  if (m == nullptr) {
+    return;
   }
+  const std::vector<double>* grid_var = &model_variances;
+  if (m != &model || model_variances.empty()) {
+    if (!m->same_forest(swept_model_) || swept_grid_ != grid) {
+      swept_var_ = m->jackknife_variances(grid);
+      swept_model_ = *m;
+      swept_grid_ = grid;
+    }
+    grid_var = &swept_var_;
+  }
+  require(grid_var->size() == grid.n_rows(), "handed variances must cover the candidate grid");
+  var_.reserve(pool.size());
+  for (const std::size_t id : pool) {
+    var_.push_back((*grid_var)[id]);
+  }
+  sweep_evals_ =
+      static_cast<std::int64_t>(pool.size()) * static_cast<std::int64_t>(m->n_trees());
 }
 
 std::size_t AcquisitionPolicy::draw(util::Rng& rng) {
@@ -82,9 +96,9 @@ bench::BenchmarkPoint AcquisitionPolicy::accept(std::size_t pool_index, TuningEn
                                                 util::Rng& rng) {
   require(pool_ != nullptr && pool_index < pool_->size(),
           "accepted pick is not in the round's pool");
-  const std::vector<bench::BenchmarkPoint>& pool = *pool_;
+  const std::vector<std::size_t>& pool = *pool_;
   ++picks_;
-  bench::BenchmarkPoint point = pool[pool_index];
+  bench::BenchmarkPoint point = (*candidates_)[pool[pool_index]];
   bool swapped = false;
   if (nonp2_cadence_ > 0 && picks_ % nonp2_cadence_ == 0) {
     // Swap the message size for a random non-P2 size whose closest P2 value
@@ -140,7 +154,7 @@ bench::BenchmarkPoint AcquisitionPolicy::accept(std::size_t pool_index, TuningEn
             second = i;
           }
         }
-        rec.runner_up = coll::algorithm_info(pool[second].algorithm).name;
+        rec.runner_up = coll::algorithm_info((*candidates_)[pool[second]].algorithm).name;
         // Relative score gap: how much more informative the pick looked than
         // the next-best candidate (negative under weighted sampling when a
         // lower-variance point won the draw).
@@ -158,10 +172,11 @@ bench::BenchmarkPoint AcquisitionPolicy::accept(std::size_t pool_index, TuningEn
   return point;
 }
 
-AcquisitionPolicy::Pick AcquisitionPolicy::next(const CollectiveModel& model,
-                                                const std::vector<bench::BenchmarkPoint>& pool,
-                                                TuningEnvironment& env, util::Rng& rng) {
-  begin_round(model, pool);
+AcquisitionPolicy::Pick AcquisitionPolicy::next(
+    const CollectiveModel& model, const ml::ProductGrid& grid,
+    const std::vector<bench::BenchmarkPoint>& candidates, const std::vector<std::size_t>& pool,
+    TuningEnvironment& env, util::Rng& rng) {
+  begin_round(model, grid, candidates, pool);
   const std::size_t i = draw(rng);
   return {i, accept(i, env, rng)};
 }

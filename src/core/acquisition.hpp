@@ -52,14 +52,22 @@ class AcquisitionPolicy {
     bench::BenchmarkPoint point;         ///< point to actually benchmark
   };
 
-  /// Starts a round over `pool`, which must stay unchanged until the round's
-  /// last accept(): scores every entry once, or none when the policy draws
-  /// uniformly (random sampling, an untrained scoring model).
-  /// `model_variances`, when not empty, holds `model`'s jackknife variance of
-  /// each pool entry, from a sweep the caller already ran under it; a policy
-  /// that scores with `model` itself takes them instead of sweeping again.
-  void begin_round(const CollectiveModel& model, const std::vector<bench::BenchmarkPoint>& pool,
-                   std::vector<double> model_variances = {});
+  /// Starts a round over a pool of candidate ids: `pool[i]` is row
+  /// `pool[i]` of `grid`, the encoded candidates (FeatureSpace::grid), and
+  /// entry `pool[i]` of `candidates` (FeatureSpace::candidates). All three
+  /// must stay unchanged until the round's last accept(). Scores every pool
+  /// entry once by its row's jackknife variance, or none when the policy
+  /// draws uniformly (random sampling, an untrained scoring model).
+  /// `model_variances`, when not empty, holds `model`'s variance of every
+  /// row of `grid`, from a sweep the caller already ran under it; a policy
+  /// that scores with `model` itself reads its pool's entries there instead
+  /// of sweeping again. Otherwise the policy sweeps the grid with its
+  /// scoring model and keeps that sweep until the model's forest or the
+  /// grid changes, so FACT's surrogate is swept once per training.
+  void begin_round(const CollectiveModel& model, const ml::ProductGrid& grid,
+                   const std::vector<bench::BenchmarkPoint>& candidates,
+                   const std::vector<std::size_t>& pool,
+                   const std::vector<double>& model_variances = {});
 
   /// Draws a pool index not yet drawn this round: with probability ∝ score
   /// (WeightedSampling), the top score (Argmax), or uniformly when the round
@@ -72,8 +80,9 @@ class AcquisitionPolicy {
   bench::BenchmarkPoint accept(std::size_t pool_index, TuningEnvironment& env, util::Rng& rng);
 
   /// A round of one: begin_round(), draw(), accept().
-  Pick next(const CollectiveModel& model, const std::vector<bench::BenchmarkPoint>& pool,
-            TuningEnvironment& env, util::Rng& rng);
+  Pick next(const CollectiveModel& model, const ml::ProductGrid& grid,
+            const std::vector<bench::BenchmarkPoint>& candidates,
+            const std::vector<std::size_t>& pool, TuningEnvironment& env, util::Rng& rng);
 
   virtual void observe(const bench::BenchmarkPoint& point, double time_us);
 
@@ -91,10 +100,16 @@ class AcquisitionPolicy {
   int nonp2_cadence_;
   int picks_ = 0;  ///< accepted picks over the policy's life (the cadence counter)
   // The current round.
-  const std::vector<bench::BenchmarkPoint>* pool_ = nullptr;
+  const std::vector<bench::BenchmarkPoint>* candidates_ = nullptr;
+  const std::vector<std::size_t>* pool_ = nullptr;
   std::vector<double> var_;        ///< per-entry scores; empty = uniform draws
   std::vector<std::size_t> left_;  ///< entries not yet drawn, ascending
-  std::int64_t sweep_evals_ = 0;   ///< the round's sweep, charged to its first record
+  std::int64_t sweep_evals_ = 0;   ///< the round's scoring, charged to its first record
+  // The policy's own last sweep: a copy of the model swept (it shares the
+  // swept forest), the grid, and the variances.
+  CollectiveModel swept_model_;
+  ml::ProductGrid swept_grid_;
+  std::vector<double> swept_var_;
 };
 
 class RandomAcquisition final : public AcquisitionPolicy {

@@ -55,6 +55,8 @@ void ActiveLearner::set_warm_start(WarmStart warm) {
 TrainingResult ActiveLearner::run() {
   const telemetry::Span span("learner.run");
   const std::vector<bench::BenchmarkPoint> candidates = space_.candidates(collective_);
+  // Row i of the grid encodes candidates[i]: every sweep runs on it.
+  const ml::ProductGrid grid = space_.grid(collective_);
   std::vector<bench::BenchmarkPoint> pool = candidates;
   // pool[i] is candidates[pool_ids[i]].
   std::vector<std::size_t> pool_ids(candidates.size());
@@ -157,17 +159,10 @@ TrainingResult ActiveLearner::run() {
     // lookups) a round is one pick, as it is until the first fit (the
     // random seed phase).
     //
-    // The model has not changed since the last convergence sweep, so its
-    // variances of the pool entries are the ones a scoring sweep would
-    // compute: a row's jackknife result does not depend on its sweep block.
-    std::vector<double> pool_var;
-    if (!candidate_var.empty()) {
-      pool_var.reserve(pool.size());
-      for (const std::size_t id : pool_ids) {
-        pool_var.push_back(candidate_var[id]);
-      }
-    }
-    policy_.begin_round(result.model, pool, std::move(pool_var));
+    // The model has not changed since the last convergence sweep, so the
+    // policy reads its pool's entries of that sweep instead of sweeping
+    // again: a cell's variance is a pure function of its row.
+    policy_.begin_round(result.model, grid, candidates, pool_ids, candidate_var);
     CollectionBatch batch;
     if (topo != nullptr && alloc != nullptr) {
       const std::size_t room = result.model.trained() ? cap - result.collected.size() : 1;
@@ -204,7 +199,7 @@ TrainingResult ActiveLearner::run() {
       // pools of the rounds until the next refit. The sum is a fixed-order
       // serial one, so it does not vary with the thread count.
       if (candidate_var.empty()) {
-        candidate_var = result.model.jackknife_variances(candidates);
+        candidate_var = result.model.jackknife_variances(grid);
         candidate_var_sum = std::accumulate(candidate_var.begin(), candidate_var.end(), 0.0);
       }
       rec.cumulative_variance = candidate_var_sum;

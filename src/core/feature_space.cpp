@@ -47,6 +47,45 @@ std::vector<bench::BenchmarkPoint> FeatureSpace::candidates(coll::Collective c) 
   return g.points(c);
 }
 
+ml::ProductGrid FeatureSpace::grid(coll::Collective c) const {
+  const std::vector<coll::Algorithm>& algs = coll::algorithms_for(c);
+  ml::ProductGrid g;
+  g.members = {nodes_.size(), ppns_.size(), msgs_.size(), algs.size()};
+  for (const std::size_t m : g.members) {
+    require(m <= ml::ProductGrid::kMaxMembers, "candidate axis has too many values for a grid");
+  }
+  // encode_point's layout: features 0-2 are the nodes, ppn and msg axes,
+  // the rest the one-hot block over the algorithms.
+  g.features.resize(num_features(c));
+  for (std::size_t f = 0; f < g.features.size(); ++f) {
+    g.features[f].group = std::min<std::size_t>(f, 3);
+  }
+  // Member m of group k: the first candidate with its group-k coordinate
+  // moved to m, encoded.
+  const bench::BenchmarkPoint first{bench::Scenario{c, nodes_[0], ppns_[0], msgs_[0]}, algs[0]};
+  for (std::size_t k = 0; k < g.members.size(); ++k) {
+    for (std::size_t m = 0; m < g.members[k]; ++m) {
+      bench::BenchmarkPoint p = first;
+      if (k == 0) {
+        p.scenario.nnodes = nodes_[m];
+      } else if (k == 1) {
+        p.scenario.ppn = ppns_[m];
+      } else if (k == 2) {
+        p.scenario.msg_bytes = msgs_[m];
+      } else {
+        p.algorithm = algs[m];
+      }
+      const ml::FeatureRow row = encode_point(p);
+      for (std::size_t f = 0; f < row.size(); ++f) {
+        if (g.features[f].group == k) {
+          g.features[f].values.push_back(row[f]);
+        }
+      }
+    }
+  }
+  return g;
+}
+
 std::vector<bench::Scenario> FeatureSpace::scenarios(coll::Collective c) const {
   bench::FeatureGrid g;
   g.nodes = nodes_;

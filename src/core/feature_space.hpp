@@ -12,7 +12,7 @@
 
 #include "benchdata/grid.hpp"
 #include "benchdata/point.hpp"
-#include "ml/tree.hpp"
+#include "ml/forest.hpp"
 
 namespace acclaim::core {
 
@@ -43,6 +43,15 @@ class FeatureSpace {
 
   /// All candidate training points of one collective (scenario x algorithm).
   std::vector<bench::BenchmarkPoint> candidates(coll::Collective c) const;
+
+  /// The same candidates as an encoded product grid, the input of every
+  /// candidate sweep: groups nodes, ppn, msg and algorithm, in candidates()'s
+  /// order, so row i encodes candidates(c)[i]. The groups follow
+  /// encode_point's layout (one log2 axis each, the one-hot block for the
+  /// algorithm), and each member's values are those encode_point gives a
+  /// point at that member. Throws InvalidArgument when an axis has more than
+  /// ml::ProductGrid::kMaxMembers values.
+  ml::ProductGrid grid(coll::Collective c) const;
 
   /// All scenarios of one collective.
   std::vector<bench::Scenario> scenarios(coll::Collective c) const;

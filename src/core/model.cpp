@@ -58,39 +58,19 @@ double CollectiveModel::predict_us(const bench::BenchmarkPoint& point) const {
 
 namespace {
 
-/// Rows per fused predict+jackknife kernel call. Fixed (never derived from
-/// the thread count or pool state) so the block a point lands in — and with
-/// it every floating-point reduction — is identical for any `--threads`.
-/// 16 rows x 100 trees of doubles is a 12.5 KiB scratch block: deep in L1,
-/// and enough rows for the tree-major walk to amortize its arena scans.
-constexpr std::size_t kJackknifeBlock = 16;
-
 /// Scenarios per select_batch chunk. A miss group of four or fewer is one
 /// chunk, so it runs on the calling thread instead of waking the pool.
 constexpr std::size_t kSelectGrain = 4;
 
 }  // namespace
 
-std::vector<double> CollectiveModel::jackknife_variances(
-    const std::vector<bench::BenchmarkPoint>& points) const {
-  if (points.empty()) {
+std::vector<double> CollectiveModel::jackknife_variances(const ml::ProductGrid& grid) const {
+  if (grid.n_rows() == 0) {
     return {};
   }
   require(trained(), "model not trained");
   const telemetry::Span span("model.variance_sweep");
-  std::vector<double> out(points.size(), 0.0);
-  const std::size_t n_blocks = (points.size() + kJackknifeBlock - 1) / kJackknifeBlock;
-  util::global_pool().parallel_for(0, n_blocks, [&](std::size_t b) {
-    const std::size_t lo = b * kJackknifeBlock;
-    const std::size_t hi = std::min(points.size(), lo + kJackknifeBlock);
-    thread_local std::vector<ml::FeatureRow> rows;
-    thread_local std::vector<double> scratch;
-    rows.resize(hi - lo);
-    for (std::size_t i = lo; i < hi; ++i) {
-      rows[i - lo] = encode_point(points[i]);
-    }
-    forest_->jackknife_batch(rows.data(), hi - lo, out.data() + lo, nullptr, scratch);
-  });
+  std::vector<double> out = forest_->jackknife_grid(grid);
   static telemetry::Histogram& sweep_ms =
       telemetry::metrics().histogram("model.variance_sweep_ms", {0.01, 32});
   sweep_ms.observe(span.elapsed_ms());

@@ -69,6 +69,11 @@ class CollectiveModel {
   std::size_t training_points() const noexcept { return n_points_; }
   /// Ensemble size (0 before training) — the audit log's virtual-cost unit.
   std::size_t n_trees() const noexcept { return forest_ ? forest_->n_trees() : 0; }
+  /// True when both models answer from the one immutable forest (copies of
+  /// a model taken since its last fit), so every prediction agrees.
+  bool same_forest(const CollectiveModel& other) const noexcept {
+    return trained() && forest_ == other.forest_;
+  }
 
   /// (Re)fits the forest on the collected points. Throws InvalidArgument on
   /// an empty set or on points of a different collective.
@@ -81,15 +86,17 @@ class CollectiveModel {
   double predict_log_us(const bench::BenchmarkPoint& point) const;
 
   /// Jackknife variance of the per-tree log-time predictions (§IV-A) for
-  /// every point, in order — the sweep the acquisition policy and the
-  /// convergence proxy share (the learner sums it in order, serially, into
-  /// the cumulative variance of §IV-C). Fixed-size blocks of candidates run the
-  /// forest's fused SoA predict+jackknife kernel on the global thread pool,
-  /// one result slot per point; per-point values are a pure function of the
-  /// point, so the vector is bitwise-identical for any thread count (and to
-  /// sweeping each point alone).
-  std::vector<double> jackknife_variances(
-      const std::vector<bench::BenchmarkPoint>& points) const;
+  /// every row of an encoded candidate grid (FeatureSpace::grid), in row
+  /// order — the sweep the acquisition policy and the convergence proxy
+  /// share (the learner sums it in order, serially, into the cumulative
+  /// variance of §IV-C). It runs the forest's grid kernel, which splits each
+  /// tree's boxes of grid cells instead of walking a row, on the global
+  /// thread pool. A cell's value is a pure function of its row, bitwise
+  /// jackknife_variance of walking that row alone, so the vector is the same
+  /// for any thread count. Each call records one `model.variance_sweep`
+  /// span and one `model.variance_sweep_ms` observation. A grid with no rows
+  /// gives an empty vector, even untrained.
+  std::vector<double> jackknife_variances(const ml::ProductGrid& grid) const;
 
   /// The algorithm with the lowest predicted time for the scenario; ties
   /// keep the earlier algorithm in algorithms_for() order.

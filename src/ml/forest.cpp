@@ -1,6 +1,7 @@
 #include "ml/forest.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -452,6 +453,239 @@ void RandomForest::jackknife_batch(const FeatureRow* rows, std::size_t n_rows,
   // only, no clock reads.
   static telemetry::Counter& batched = telemetry::metrics().counter("ml.forest.batched_rows");
   batched.add(n_rows);
+}
+
+std::size_t ProductGrid::n_rows() const noexcept {
+  if (members.empty()) {
+    return 0;
+  }
+  std::size_t n = 1;
+  for (const std::size_t m : members) {
+    n *= m;
+  }
+  return n;
+}
+
+FeatureRow ProductGrid::row(std::size_t r) const {
+  require(r < n_rows(), "product grid row out of range");
+  std::vector<std::size_t> member(members.size());
+  for (std::size_t g = members.size(); g-- > 0;) {
+    member[g] = r % members[g];
+    r /= members[g];
+  }
+  FeatureRow out;
+  out.reserve(features.size());
+  for (const Feature& f : features) {
+    out.push_back(f.values.at(member.at(f.group)));
+  }
+  return out;
+}
+
+namespace {
+
+/// Cells per reduction task of jackknife_grid. Fixed (never derived from the
+/// thread count), though a cell's reduction reads only its own column.
+constexpr std::size_t kGridReduceCells = 128;
+
+/// Jackknife variances of the cells [lo, hi) of a tree-major [tree x cell]
+/// block: per cell, jackknife_variance's operations over its column in tree
+/// order. The cells run side by side, so each tree's values are read as one
+/// contiguous run.
+void reduce_cells(const double* block, std::size_t n_trees, std::size_t n_cells,
+                  std::size_t lo, std::size_t hi, double* variances) {
+  if (n_trees < 2) {
+    std::fill(variances + lo, variances + hi, 0.0);
+    return;
+  }
+  const auto n = static_cast<double>(n_trees);
+  const auto n1 = static_cast<double>(n_trees - 1);
+  double mean[kGridReduceCells] = {};
+  double acc[kGridReduceCells] = {};
+  const std::size_t w = hi - lo;
+  for (std::size_t t = 0; t < n_trees; ++t) {
+    const double* v = block + t * n_cells + lo;
+    for (std::size_t c = 0; c < w; ++c) {
+      mean[c] += v[c];
+    }
+  }
+  for (std::size_t c = 0; c < w; ++c) {
+    mean[c] /= n;
+  }
+  for (std::size_t t = 0; t < n_trees; ++t) {
+    const double* v = block + t * n_cells + lo;
+    for (std::size_t c = 0; c < w; ++c) {
+      const double d = (v[c] - mean[c]) / n1;
+      acc[c] += d * d;
+    }
+  }
+  for (std::size_t c = 0; c < w; ++c) {
+    variances[lo + c] = acc[c] / n1;
+  }
+}
+
+}  // namespace
+
+/// A product grid checked and indexed for jackknife_grid's box splits. Per
+/// feature: its group, its member values that are not NaN in ascending
+/// order, and for each k the mask of the members holding the k smallest.
+/// Over ascending values the walk's `value <= threshold` holds on a prefix
+/// (NaN values and a NaN threshold fail it, as in the walk), so the members
+/// a split sends left are one count away.
+class RandomForest::GridIndex {
+ public:
+  GridIndex(const ProductGrid& grid, std::size_t n_features)
+      : n_groups_(grid.members.size()), stride_(n_groups_, 1), all_(n_groups_) {
+    require(grid.features.size() == n_features, "feature count mismatch in jackknife_grid");
+    for (std::size_t g = n_groups_; g-- > 0;) {
+      const std::size_t m = grid.members[g];
+      require(m <= ProductGrid::kMaxMembers, "product grid group has more than 64 members");
+      if (g + 1 < n_groups_) {
+        stride_[g] = stride_[g + 1] * grid.members[g + 1];
+      }
+      all_[g] = m == ProductGrid::kMaxMembers ? ~std::uint64_t{0} : (std::uint64_t{1} << m) - 1;
+    }
+    begin_.push_back(0);
+    for (const ProductGrid::Feature& f : grid.features) {
+      require(f.group < n_groups_, "product grid feature names no group");
+      require(f.values.size() == grid.members[f.group],
+              "product grid feature needs one value per member of its group");
+      group_.push_back(f.group);
+      std::vector<std::size_t> members;
+      for (std::size_t m = 0; m < f.values.size(); ++m) {
+        if (!std::isnan(f.values[m])) {
+          members.push_back(m);
+        }
+      }
+      std::stable_sort(members.begin(), members.end(), [&f](std::size_t a, std::size_t b) {
+        return f.values[a] < f.values[b];
+      });
+      std::uint64_t mask = 0;
+      prefix_.push_back(mask);
+      for (const std::size_t m : members) {
+        sorted_.push_back(f.values[m]);
+        mask |= std::uint64_t{1} << m;
+        prefix_.push_back(mask);
+      }
+      begin_.push_back(sorted_.size());
+    }
+  }
+
+  std::size_t n_groups() const noexcept { return n_groups_; }
+  std::size_t group(std::size_t f) const noexcept { return group_[f]; }
+  /// The members of every group: the root box.
+  const std::vector<std::uint64_t>& all() const noexcept { return all_; }
+
+  /// The members of feature f's group whose value passes `value <= threshold`.
+  std::uint64_t passing(std::size_t f, double threshold) const noexcept {
+    // The passing values are a prefix of the ascending ones, so counting
+    // them (branch-free) gives its length.
+    const std::size_t first = begin_[f];
+    const std::size_t last = begin_[f + 1];
+    std::size_t k = 0;
+    for (std::size_t j = first; j < last; ++j) {
+      k += static_cast<std::size_t>(sorted_[j] <= threshold);
+    }
+    return prefix_[first + f + k];
+  }
+
+  /// Writes `value` into out[cell] for every cell of `box` (one live-member
+  /// mask per group).
+  void fill(const std::uint64_t* box, double value, double* out) const noexcept {
+    // Most leaves hold one member of every group but the last: one offset,
+    // then a run over the last group's live members.
+    std::size_t base = 0;
+    std::size_t g = 0;
+    for (; g + 1 < n_groups_ && (box[g] & (box[g] - 1)) == 0; ++g) {
+      base += static_cast<std::size_t>(std::countr_zero(box[g])) * stride_[g];
+    }
+    fill_from(box, g, base, value, out);
+  }
+
+ private:
+  void fill_from(const std::uint64_t* box, std::size_t g, std::size_t base, double value,
+                 double* out) const noexcept {
+    for (std::uint64_t live = box[g]; live != 0; live &= live - 1) {
+      const std::size_t cell =
+          base + static_cast<std::size_t>(std::countr_zero(live)) * stride_[g];
+      if (g + 1 == n_groups_) {
+        out[cell] = value;
+      } else {
+        fill_from(box, g + 1, cell, value, out);
+      }
+    }
+  }
+
+  std::size_t n_groups_;
+  std::vector<std::size_t> stride_;   ///< per group: its row offset
+  std::vector<std::uint64_t> all_;    ///< per group: every member
+  std::vector<std::size_t> group_;    ///< per feature
+  std::vector<std::size_t> begin_;    ///< per feature: its run of sorted_ (F+1 entries)
+  std::vector<double> sorted_;        ///< per feature: non-NaN values, ascending
+  std::vector<std::uint64_t> prefix_; ///< per feature: count+1 masks, at begin_[f] + f
+};
+
+std::vector<double> RandomForest::jackknife_grid(const ProductGrid& grid) const {
+  const std::size_t n_cells = grid.n_rows();
+  if (n_cells == 0) {
+    return {};
+  }
+  require(fitted(), "RandomForest::jackknife_grid called before fit");
+  const GridIndex index(grid, n_features_);
+  const std::size_t nt = roots_.size();
+  std::vector<double> block(nt * n_cells);
+  util::global_pool().parallel_for(0, nt, [&](std::size_t t) {
+    fill_tree(t, index, block.data() + t * n_cells);
+  });
+  std::vector<double> variances(n_cells);
+  const std::size_t n_tasks = (n_cells + kGridReduceCells - 1) / kGridReduceCells;
+  util::global_pool().parallel_for(0, n_tasks, [&](std::size_t k) {
+    reduce_cells(block.data(), nt, n_cells, k * kGridReduceCells,
+                 std::min(n_cells, (k + 1) * kGridReduceCells), variances.data());
+  });
+  static telemetry::Counter& batched = telemetry::metrics().counter("ml.forest.batched_rows");
+  batched.add(n_cells);
+  return variances;
+}
+
+void RandomForest::fill_tree(std::size_t t, const GridIndex& index, double* out) const {
+  const std::size_t n_groups = index.n_groups();
+  // Depth-first, one box (a mask per group) per slot: slot `top` is the
+  // current node's box, and each slot below it the box of a right child
+  // still to visit, pushed where the walk went left at a split of both
+  // sides. Those splits are ancestors of the current node, so depth_[t] + 1
+  // slots suffice.
+  const std::size_t slots = static_cast<std::size_t>(depth_[t]) + 1;
+  std::vector<std::uint64_t> boxes(slots * n_groups);
+  std::vector<std::int32_t> pending(slots);
+  std::copy(index.all().begin(), index.all().end(), boxes.begin());
+  std::size_t top = 0;
+  std::int32_t node = roots_[t];
+  for (;;) {
+    std::uint64_t* box = boxes.data() + top * n_groups;
+    for (std::int32_t f = feature_[static_cast<std::size_t>(node)]; f >= 0;
+         f = feature_[static_cast<std::size_t>(node)]) {
+      const auto i = static_cast<std::size_t>(node);
+      const std::size_t g = index.group(static_cast<std::size_t>(f));
+      const std::uint64_t pass = index.passing(static_cast<std::size_t>(f), threshold_[i]);
+      const std::uint64_t go_left = box[g] & pass;
+      const std::uint64_t go_right = box[g] & ~pass;
+      if (go_left != 0 && go_right != 0) {
+        std::copy(box, box + n_groups, box + n_groups);
+        box[g] = go_right;
+        pending[top] = right_[i];
+        ++top;
+        box += n_groups;
+        box[g] = go_left;
+      }
+      node = go_left != 0 ? left_[i] : right_[i];
+    }
+    index.fill(box, value_[static_cast<std::size_t>(node)], out);
+    if (top == 0) {
+      return;
+    }
+    --top;
+    node = pending[top];
+  }
 }
 
 util::Json RandomForest::to_json() const {

@@ -23,16 +23,21 @@
 // acquisition round (PAPER.md §IV; the fig10/fig12 hot paths), so a forest
 // keeps no trees: fit() and from_json() flatten them into one shared arena
 // of parallel arrays — split feature, threshold, left child, right child,
-// leaf value — and drop them. Every evaluation walks the arena. predict()
-// gives one row's mean (the Hunold baseline and predict_log_us use it). The
-// batched kernels give per-tree blocks: predict_trees_batch() alone, and
-// jackknife_batch(), which every selection and variance sweep runs.
+// leaf value — and drop them. predict() walks the arena for one row's mean
+// (the Hunold baseline and predict_log_us use it). The batched kernels give
+// per-tree blocks: predict_trees_batch() alone, and jackknife_batch(), which
+// every selection runs on a scenario's few candidate rows. A candidate sweep
+// scores a whole product grid (the P2 candidates: nodes x ppn x msg x
+// algorithm), whose cells share almost every split, so jackknife_grid()
+// walks no row: each tree splits the grid's box at every node by the walk's
+// comparison and writes each leaf's value into every cell of its box.
 //
 // Equivalence contract: flattening copies node fields bit-for-bit and
-// preserves node order, traversal uses DecisionTree::predict's
-// `x[f] <= threshold` comparison (NaN routes right), and every mean and
-// variance accumulates in tree order. Results are therefore bitwise-equal to
-// walking the source trees with DecisionTree::predict — enforced by
+// preserves node order, traversal and the grid's box splits use
+// DecisionTree::predict's `x[f] <= threshold` comparison (NaN routes right),
+// and every mean and variance accumulates in tree order. Results are
+// therefore bitwise-equal to walking the source trees (or the grid's
+// explicit rows) with DecisionTree::predict — enforced by
 // tests/test_forest_arena.cpp.
 #pragma once
 
@@ -43,6 +48,32 @@
 
 namespace acclaim::ml {
 
+/// A full product grid of feature rows, such as one collective's P2
+/// candidates. The grid is a list of groups; group g has members[g]
+/// members. Every feature belongs to one group and takes one value per
+/// member of it. Rows run row-major over the groups, the last group
+/// fastest: row r takes member (r / stride_g) % members[g] of group g,
+/// where stride_g is the product of the later groups' sizes.
+struct ProductGrid {
+  struct Feature {
+    std::size_t group = 0;
+    std::vector<double> values;  ///< one per member of the group
+    bool operator==(const Feature&) const = default;
+  };
+  /// The most members a group may have (one bit each in a 64-bit mask).
+  static constexpr std::size_t kMaxMembers = 64;
+
+  std::vector<std::size_t> members;  ///< per group
+  std::vector<Feature> features;     ///< per feature, in row order
+
+  /// The product of the group sizes; 0 for a grid with no groups.
+  std::size_t n_rows() const noexcept;
+  /// Row r spelled out, the way a row-walking kernel would take it.
+  FeatureRow row(std::size_t r) const;
+
+  bool operator==(const ProductGrid&) const = default;
+};
+
 struct ForestParams {
   int n_trees = 64;
   bool bootstrap = true;
@@ -50,9 +81,9 @@ struct ForestParams {
 };
 
 /// scikit-style RandomForestRegressor: each tree fits a bootstrap resample;
-/// the forest predicts the mean of the trees. predict_trees_batch() and
-/// jackknife_batch() expose the per-tree predictions the jackknife variance
-/// (§IV-A) needs.
+/// the forest predicts the mean of the trees. predict_trees_batch(),
+/// jackknife_batch() and jackknife_grid() expose the per-tree predictions
+/// the jackknife variance (§IV-A) needs.
 class RandomForest {
  public:
   /// Fits params.n_trees trees, tree i on the i-th seed drawn from `seed`,
@@ -95,11 +126,29 @@ class RandomForest {
   /// both reductions are bitwise-identical to jackknife_variance of the
   /// per-tree predictions and to predict() per row. Either output may be
   /// null to skip that reduction. `scratch` is caller-owned working memory
-  /// (grown to n_rows * n_trees(), one buffer per thread in parallel
-  /// sweeps); the call leaves its first n_rows * n_trees() entries holding
-  /// the per-tree block in predict_trees_batch's layout.
+  /// (grown to n_rows * n_trees(), one buffer per thread when scenarios are
+  /// scored in parallel); the call leaves its first n_rows * n_trees()
+  /// entries holding the per-tree block in predict_trees_batch's layout.
   void jackknife_batch(const FeatureRow* rows, std::size_t n_rows, double* variances,
                        double* means, std::vector<double>& scratch) const;
+
+  /// The jackknife variance of every row of `grid`, in row order, without
+  /// walking a row. Per tree, one depth-first pass carries the box of grid
+  /// cells that reach each node as one live-member mask per group: a split
+  /// on feature f of group g sends the live members whose value passes the
+  /// walk's `value <= threshold` left and the rest right, and a leaf writes
+  /// its value into every cell of its box, so each cell gets the leaf its
+  /// row's walk reaches. A tree costs O(nodes x members + cells). The trees
+  /// fill a tree-major [tree x cell] block on the global pool, one row each;
+  /// each cell is then reduced in tree order with jackknife_variance's exact
+  /// operations, over fixed blocks of cells. Every value is therefore
+  /// bitwise-equal to jackknife_variance of walking that row, for any thread
+  /// count. A grid with no rows gives an empty vector, even before fit.
+  /// Throws InvalidArgument before fit, when the grid's feature count is not
+  /// n_features(), or when a feature names no group, a group has more than
+  /// ProductGrid::kMaxMembers members, or a feature's value count is not its
+  /// group's size.
+  std::vector<double> jackknife_grid(const ProductGrid& grid) const;
 
   /// Serializes the fitted forest: one column-wise document per tree with
   /// tree-relative child indices (-1 on leaves) and the tree's depth.
@@ -110,6 +159,11 @@ class RandomForest {
   static RandomForest from_json(const util::Json& doc);
 
  private:
+  class GridIndex;
+  /// Writes tree t's value for every cell of an indexed grid into
+  /// out[cell]: jackknife_grid's per-tree pass.
+  void fill_tree(std::size_t t, const GridIndex& index, double* out) const;
+
   // One arena for all trees; tree t's nodes occupy [roots_[t], roots_[t+1])
   // (with an implicit end at n_nodes() for the last tree). Child indices are
   // arena-absolute, so traversal never consults per-tree offsets. Leaves

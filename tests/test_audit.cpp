@@ -501,7 +501,8 @@ TEST_F(AuditTest, AcquisitionPolicyEmitsRoundRecords) {
   util::Rng rng(5);
 
   telemetry::audit().enable_ring(16);
-  const auto pick = policy.next(model, pool, env, rng);
+  const auto pick = policy.next(model, space.grid(c), pool,
+                                testing_support::all_ids(pool.size()), env, rng);
   const std::vector<DecisionRecord> ring = telemetry::audit().ring_snapshot();
   ASSERT_EQ(ring.size(), 1u);
   const DecisionRecord& rec = ring[0];

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "core/acquisition.hpp"
@@ -50,6 +51,34 @@ TEST(FeatureSpace, CandidatesAndNeighbors) {
   EXPECT_EQ(space.msg_neighbors(64).first, 0u);
   EXPECT_EQ(space.msg_neighbors(256).second, 0u);
   EXPECT_EQ(space.msg_neighbors(100), (std::pair<std::uint64_t, std::uint64_t>{64, 128}));
+}
+
+TEST(FeatureSpace, GridRowsAreTheEncodedCandidatesByteForByte) {
+  // Every collective, on non-P2 axes, a single-value axis and an axis at
+  // the grid's 64-member limit (msgs 1 B to 2^63 B).
+  std::vector<std::uint64_t> msgs;
+  for (int k = 0; k < 64; ++k) {
+    msgs.push_back(std::uint64_t{1} << k);
+  }
+  for (const core::FeatureSpace& space :
+       {core::FeatureSpace({2, 3, 8}, {1, 6}, {64, 100, 4096}),
+        core::FeatureSpace({4}, {32}, msgs)}) {
+    for (const Collective c : coll::all_collectives()) {
+      const std::vector<BenchmarkPoint> candidates = space.candidates(c);
+      const ml::ProductGrid grid = space.grid(c);
+      ASSERT_EQ(grid.n_rows(), candidates.size()) << coll::collective_name(c);
+      for (std::size_t i = 0; i < candidates.size(); ++i) {
+        const ml::FeatureRow row = grid.row(i);
+        const ml::FeatureRow encoded = core::encode_point(candidates[i]);
+        ASSERT_EQ(row.size(), encoded.size());
+        ASSERT_EQ(std::memcmp(row.data(), encoded.data(), row.size() * sizeof(double)), 0)
+            << coll::collective_name(c) << " candidate=" << i;
+      }
+    }
+  }
+  // A 65-value axis does not fit a grid group.
+  msgs.push_back(3);
+  EXPECT_THROW(core::FeatureSpace({4}, {32}, msgs).grid(Collective::Bcast), InvalidArgument);
 }
 
 TEST(DatasetEnvironment, ChargesRecordedCost) {
@@ -177,7 +206,7 @@ TEST(CollectiveModel, JackknifeVarianceLowerNearData) {
   const BenchmarkPoint seen{{Collective::Bcast, 4, 2, 256}, Algorithm::BcastBinomial};
   const BenchmarkPoint unseen{{Collective::Bcast, 4, 2, 64 * 1024},
                               Algorithm::BcastBinomial};
-  const std::vector<double> var = model.jackknife_variances({seen, unseen});
+  const std::vector<double> var = testing_support::row_variances(model, {seen, unseen});
   EXPECT_LE(var[0], var[1]);
   EXPECT_GT(var[0] + var[1], 0.0);
 }
@@ -188,6 +217,8 @@ class PolicyTest : public testing::Test {
  protected:
   PolicyTest() : env_(testing_support::small_dataset()), rng_(17) {
     pool_ = testing_support::small_space().candidates(Collective::Bcast);
+    grid_ = testing_support::small_space().grid(Collective::Bcast);
+    ids_ = testing_support::all_ids(pool_.size());
     // A partially trained model for variance queries.
     std::vector<core::LabeledPoint> data;
     for (std::size_t i = 0; i < pool_.size(); i += 7) {
@@ -198,7 +229,9 @@ class PolicyTest : public testing::Test {
   }
   core::DatasetEnvironment env_;
   util::Rng rng_;
-  std::vector<BenchmarkPoint> pool_;
+  std::vector<BenchmarkPoint> pool_;  ///< every candidate, the grid's rows
+  ml::ProductGrid grid_;
+  std::vector<std::size_t> ids_;  ///< a pool of every candidate
   core::CollectiveModel model_;
 };
 
@@ -206,7 +239,7 @@ TEST_F(PolicyTest, RandomPicksValidIndices) {
   core::RandomAcquisition policy;
   std::set<std::size_t> seen;
   for (int i = 0; i < 50; ++i) {
-    const auto pick = policy.next(model_, pool_, env_, rng_);
+    const auto pick = policy.next(model_, grid_, pool_, ids_, env_, rng_);
     ASSERT_LT(pick.pool_index, pool_.size());
     EXPECT_EQ(pick.point, pool_[pick.pool_index]);
     seen.insert(pick.pool_index);
@@ -218,8 +251,8 @@ TEST_F(PolicyTest, AcclaimArgmaxPicksHighestVariance) {
   // The paper's literal rule, kept as the ablation mode.
   core::AcclaimAcquisition policy(
       core::AcclaimAcquisitionConfig{0, core::VariancePick::Argmax});
-  const auto pick = policy.next(model_, pool_, env_, rng_);
-  const std::vector<double> var = model_.jackknife_variances(pool_);
+  const auto pick = policy.next(model_, grid_, pool_, ids_, env_, rng_);
+  const std::vector<double> var = model_.jackknife_variances(grid_);
   const double picked_var = var[pick.pool_index];
   for (const double v : var) {
     EXPECT_GE(picked_var, v - 1e-12);
@@ -231,7 +264,7 @@ TEST_F(PolicyTest, AcclaimWeightedSamplingFavorsHighVariance) {
   // The default mode: picks are random but variance-proportional, so over
   // many draws the mean variance of picks exceeds the pool mean.
   core::AcclaimAcquisition policy(core::AcclaimAcquisitionConfig{0});
-  const std::vector<double> var = model_.jackknife_variances(pool_);
+  const std::vector<double> var = model_.jackknife_variances(grid_);
   double pool_mean = 0.0;
   for (const double v : var) {
     pool_mean += v;
@@ -240,7 +273,7 @@ TEST_F(PolicyTest, AcclaimWeightedSamplingFavorsHighVariance) {
   double picked_mean = 0.0;
   constexpr int kDraws = 200;
   for (int i = 0; i < kDraws; ++i) {
-    const auto pick = policy.next(model_, pool_, env_, rng_);
+    const auto pick = policy.next(model_, grid_, pool_, ids_, env_, rng_);
     picked_mean += var[pick.pool_index];
   }
   picked_mean /= kDraws;
@@ -252,7 +285,7 @@ TEST_F(PolicyTest, AcclaimEveryFifthPickIsNonP2) {
   core::AcclaimAcquisition policy(core::AcclaimAcquisitionConfig{5});
   int nonp2 = 0;
   for (int i = 1; i <= 20; ++i) {
-    const auto pick = policy.next(model_, pool_, env_, rng_);
+    const auto pick = policy.next(model_, grid_, pool_, ids_, env_, rng_);
     const bool is_nonp2 = !util::is_power_of_two(pick.point.scenario.msg_bytes);
     if (i % 5 == 0) {
       // The 5th/10th/... picks must be non-P2 variants of the anchor.
@@ -274,7 +307,7 @@ TEST_F(PolicyTest, RoundDrawsEveryEntryOnceFromOneSweep) {
   for (const core::CollectiveModel& model : {model_, core::CollectiveModel(Collective::Bcast)}) {
     core::AcclaimAcquisition policy;
     const std::uint64_t before = sweeps.count();
-    policy.begin_round(model, pool_);
+    policy.begin_round(model, grid_, pool_, ids_);
     std::set<std::size_t> drawn;
     for (std::size_t k = 0; k < pool_.size(); ++k) {
       drawn.insert(policy.draw(rng_));
@@ -290,52 +323,99 @@ TEST_F(PolicyTest, RoundDrawsEveryEntryOnceFromOneSweep) {
 TEST_F(PolicyTest, RoundHandedTheModelsVariancesDrawsWhatASweepingRoundDraws) {
   // The learner hands a round the variances its convergence sweep computed
   // under the same model: the round then sweeps nothing and draws the same
-  // picks from the same rng as a round that sweeps the pool itself.
+  // picks from the same rng as a round that sweeps the grid itself.
   const telemetry::Histogram& sweeps =
       telemetry::metrics().histogram("model.variance_sweep_ms", {0.01, 32});
-  // Variances of the pool as a slice of a larger sweep (other blocks).
-  std::vector<BenchmarkPoint> wider = pool_;
-  wider.insert(wider.begin(), pool_.begin() + 3, pool_.begin() + 10);
-  std::vector<double> handed = model_.jackknife_variances(wider);
-  handed.erase(handed.begin(), handed.begin() + 7);
+  // The pool is part of the candidates; the handed sweep covers them all.
+  const std::vector<std::size_t> pool(ids_.begin() + 7, ids_.end());
+  const std::vector<double> handed = model_.jackknife_variances(grid_);
   for (const core::VariancePick pick :
        {core::VariancePick::WeightedSampling, core::VariancePick::Argmax}) {
     core::AcclaimAcquisition sweeping(core::AcclaimAcquisitionConfig{0, pick});
     core::AcclaimAcquisition reusing(core::AcclaimAcquisitionConfig{0, pick});
     util::Rng rng_a(23);
     util::Rng rng_b(23);
-    sweeping.begin_round(model_, pool_);
+    sweeping.begin_round(model_, grid_, pool_, pool);
     const std::uint64_t before = sweeps.count();
-    reusing.begin_round(model_, pool_, handed);
+    reusing.begin_round(model_, grid_, pool_, pool, handed);
     EXPECT_EQ(sweeps.count(), before);
-    for (std::size_t k = 0; k < pool_.size(); ++k) {
+    for (std::size_t k = 0; k < pool.size(); ++k) {
       ASSERT_EQ(sweeping.draw(rng_a), reusing.draw(rng_b)) << "draw " << k;
     }
     EXPECT_EQ(rng_a.next_u64(), rng_b.next_u64());
   }
   // A policy that scores with another model sweeps with it regardless.
   core::RandomAcquisition random;
-  random.begin_round(model_, pool_, handed);
+  random.begin_round(model_, grid_, pool_, pool, handed);
   core::SurrogateAcquisition fact(Collective::Bcast, 5);
   fact.observe(pool_[0], testing_support::small_dataset().at(pool_[0]).mean_us);
   fact.observe(pool_[1], testing_support::small_dataset().at(pool_[1]).mean_us);
   const std::uint64_t before = sweeps.count();
-  fact.begin_round(model_, pool_, handed);
+  fact.begin_round(model_, grid_, pool_, pool, handed);
   EXPECT_EQ(sweeps.count() - before, 1u);
   EXPECT_EQ(fact.surrogate_trainings(), 1);
+}
+
+TEST_F(PolicyTest, FactRoundBetweenSurrogateTrainingsReusesTheSurrogatesSweep) {
+  // FACT sweeps the grid with its surrogate once per training: a round
+  // before the next training sweeps nothing, and draws from the same rng
+  // what a round that sweeps the same surrogate draws.
+  const telemetry::Histogram& sweeps =
+      telemetry::metrics().histogram("model.variance_sweep_ms", {0.01, 32});
+  const bench::Dataset& ds = testing_support::small_dataset();
+  core::SurrogateAcquisitionConfig config;
+  config.refresh_every = 3;
+  core::SurrogateAcquisition fact(Collective::Bcast, 5, config);
+  core::SurrogateAcquisition sweeping(Collective::Bcast, 5, config);
+  for (std::size_t i = 0; i < 2; ++i) {
+    fact.observe(pool_[i], ds.at(pool_[i]).mean_us);
+    sweeping.observe(pool_[i], ds.at(pool_[i]).mean_us);
+  }
+  const std::uint64_t before = sweeps.count();
+  fact.begin_round(model_, grid_, pool_, ids_);
+  EXPECT_EQ(fact.surrogate_trainings(), 1);
+  EXPECT_EQ(sweeps.count() - before, 1u);
+
+  // One more observation: the surrogate is not due for retraining.
+  fact.observe(pool_[2], ds.at(pool_[2]).mean_us);
+  const std::vector<std::size_t> pool(ids_.begin() + 3, ids_.end());
+  fact.begin_round(model_, grid_, pool_, pool);
+  EXPECT_EQ(fact.surrogate_trainings(), 1);
+  EXPECT_EQ(sweeps.count() - before, 1u);
+  // The same surrogate (same two points, same seed), trained and swept now.
+  sweeping.begin_round(model_, grid_, pool_, pool);
+  EXPECT_EQ(sweeping.surrogate_trainings(), 1);
+  EXPECT_EQ(sweeps.count() - before, 2u);
+  util::Rng rng_a(29);
+  util::Rng rng_b(29);
+  for (std::size_t k = 0; k < pool.size(); ++k) {
+    ASSERT_EQ(fact.draw(rng_a), sweeping.draw(rng_b)) << "draw " << k;
+  }
+  EXPECT_EQ(rng_a.next_u64(), rng_b.next_u64());
+
+  // Over many rounds, one sweep per surrogate training.
+  const std::uint64_t start = sweeps.count();
+  const int trained = fact.surrogate_trainings();
+  for (std::size_t i = 3; i < 20; ++i) {
+    fact.observe(pool_[i], ds.at(pool_[i]).mean_us);
+    fact.begin_round(model_, grid_, pool_, ids_);
+  }
+  EXPECT_GT(fact.surrogate_trainings(), trained);
+  EXPECT_EQ(sweeps.count() - start,
+            static_cast<std::uint64_t>(fact.surrogate_trainings() - trained));
 }
 
 TEST_F(PolicyTest, SurrogateLearnsFromObservations) {
   core::SurrogateAcquisition policy(Collective::Bcast, 5);
   // Before any observation: random behaviour, no trainings.
-  const auto first = policy.next(model_, pool_, env_, rng_);
+  const auto first = policy.next(model_, grid_, pool_, ids_, env_, rng_);
   EXPECT_LT(first.pool_index, pool_.size());
   EXPECT_EQ(policy.surrogate_trainings(), 0);
   for (int i = 0; i < 10; ++i) {
     const auto& ds = testing_support::small_dataset();
     policy.observe(pool_[static_cast<std::size_t>(i)],
                    ds.at(pool_[static_cast<std::size_t>(i)]).mean_us);
-    policy.next(model_, pool_, env_, rng_);
+    policy.next(model_, grid_, pool_, ids_, env_, rng_);
   }
   // FACT's structural cost: the surrogate retrains every iteration.
   EXPECT_GE(policy.surrogate_trainings(), 9);

@@ -126,6 +126,12 @@ TEST(GoldenDeterminism, PredictionsAndJackknifeBitwiseIdentical) {
   }
 }
 
+/// The scenario grid of synthetic_points: its candidates(c) are those
+/// points, in the same order, and its grid(c) encodes them.
+core::FeatureSpace synthetic_space() {
+  return core::FeatureSpace({2, 4, 8, 16}, {4}, {64, 1024, 16384});
+}
+
 /// Labeled points over every algorithm of `c` and a small scenario grid,
 /// with a smooth synthetic cost so the model has signal.
 std::vector<core::LabeledPoint> synthetic_points(coll::Collective c) {
@@ -159,10 +165,12 @@ TEST(GoldenDeterminism, CollectiveModelVarianceSweepIdenticalAcrossThreads) {
     pool.push_back(lp.point);
   }
 
+  const ml::ProductGrid grid = synthetic_space().grid(coll::Collective::Bcast);
+
   util::set_global_threads(1);
   core::CollectiveModel ref(coll::Collective::Bcast);
   ref.fit(data, 1234);
-  const std::vector<double> ref_var = ref.jackknife_variances(pool);
+  const std::vector<double> ref_var = ref.jackknife_variances(grid);
   ASSERT_EQ(ref_var.size(), pool.size());
 
   for (int threads : kThreadCounts) {
@@ -170,7 +178,7 @@ TEST(GoldenDeterminism, CollectiveModelVarianceSweepIdenticalAcrossThreads) {
     core::CollectiveModel model(coll::Collective::Bcast);
     model.fit(data, 1234);
     EXPECT_EQ(model.to_json().dump(), ref.to_json().dump()) << "threads=" << threads;
-    const std::vector<double> var = model.jackknife_variances(pool);
+    const std::vector<double> var = model.jackknife_variances(grid);
     ASSERT_EQ(var.size(), ref_var.size());
     for (std::size_t i = 0; i < var.size(); ++i) {
       ASSERT_EQ(var[i], ref_var[i]) << "threads=" << threads << " candidate=" << i;
@@ -182,7 +190,7 @@ TEST(GoldenDeterminism, EmptyCandidateListStaysLegalUntrained) {
   ThreadGuard guard;
   util::set_global_threads(4);
   const core::CollectiveModel untrained;
-  EXPECT_TRUE(untrained.jackknife_variances({}).empty());
+  EXPECT_TRUE(untrained.jackknife_variances(ml::ProductGrid{}).empty());
 }
 
 /// Exact bit pattern of a double: the byte-compare primitive for values
@@ -261,10 +269,15 @@ std::string batch_fingerprint(int threads) {
 std::string round_fingerprint(int threads) {
   util::set_global_threads(threads);
   const std::vector<core::LabeledPoint> data = synthetic_points(coll::Collective::Bcast);
+  const core::FeatureSpace space = synthetic_space();
+  const std::vector<bench::BenchmarkPoint> candidates = space.candidates(coll::Collective::Bcast);
+  const ml::ProductGrid grid = space.grid(coll::Collective::Bcast);
   std::vector<bench::BenchmarkPoint> pool;
-  for (const auto& lp : data) {
-    if (lp.point.scenario.nnodes <= 4) {  // one rack each: the round packs many
-      pool.push_back(lp.point);
+  std::vector<std::size_t> pool_ids;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    if (candidates[i].scenario.nnodes <= 4) {  // one rack each: the round packs many
+      pool.push_back(candidates[i]);
+      pool_ids.push_back(i);
     }
   }
   core::CollectiveModel model(coll::Collective::Bcast);
@@ -280,7 +293,7 @@ std::string round_fingerprint(int threads) {
   util::Rng rng(3);
 
   std::ostringstream os;
-  policy.begin_round(model, pool);
+  policy.begin_round(model, grid, candidates, pool_ids);
   const core::CollectionBatch batch = core::CollectionScheduler().plan(
       pool, pool.size(),
       [&] {
@@ -401,8 +414,8 @@ TEST(GoldenDeterminism, AuditLogBitwiseIdenticalAcrossThreads) {
 }
 
 // The batched model paths run on the thread pool and must equal the scalar
-// paths bit for bit: the blocked fused jackknife sweep equals sweeping each
-// point alone, and select_batch, select and the argmin of the scalar
+// paths bit for bit: every cell of the grid sweep equals the row kernel run
+// on that cell's row alone, and select_batch, select and the argmin of the scalar
 // predict_log_us agree — for every standard collective (2- and 3-candidate
 // blocks) and every batch size from 0 to 17, on both sides of
 // select_batch's chunk of four.
@@ -421,10 +434,10 @@ TEST(ForestGolden, VarianceSweepAndSelectionMatchScalarPaths) {
     const std::vector<coll::Algorithm> algorithms = coll::algorithms_for(c);
     block_sizes.insert(algorithms.size());
 
-    const std::vector<double> var = model.jackknife_variances(pool);
+    const std::vector<double> var = model.jackknife_variances(synthetic_space().grid(c));
     ASSERT_EQ(var.size(), pool.size());
     for (std::size_t i = 0; i < pool.size(); ++i) {
-      ASSERT_EQ(var[i], model.jackknife_variances({pool[i]}).front())
+      ASSERT_EQ(var[i], testing_support::row_variances(model, {pool[i]}).front())
           << coll::collective_name(c) << " candidate=" << i;
     }
 

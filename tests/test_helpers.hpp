@@ -1,7 +1,8 @@
 // Shared fixtures for the tests: a small, fast precollected dataset over the
 // tiny test machine, built once per process, the naive CART fitter that
-// RandomForest::fit is checked against, and the tree-walk reference the
-// forest arena is checked against.
+// RandomForest::fit is checked against, the tree-walk reference the forest
+// arena is checked against, and the per-row reference the candidate-grid
+// sweep is checked against.
 #pragma once
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 
 #include "benchdata/dataset.hpp"
 #include "core/feature_space.hpp"
+#include "core/model.hpp"
 #include "ml/forest.hpp"
 #include "simnet/machine.hpp"
 #include "util/rng.hpp"
@@ -236,6 +238,29 @@ inline std::vector<double> tree_predictions(const ml::RandomForest& forest,
                                             const ml::FeatureRow& row) {
   std::vector<double> out(forest.n_trees());
   forest.predict_trees_batch(&row, 1, out.data());
+  return out;
+}
+
+/// The ids 0 .. n-1: a pool holding every candidate.
+inline std::vector<std::size_t> all_ids(std::size_t n) {
+  std::vector<std::size_t> ids(n);
+  std::iota(ids.begin(), ids.end(), std::size_t{0});
+  return ids;
+}
+
+/// The jackknife variance of each point under `model`, each point's row run
+/// alone through the row kernel (jackknife_batch on a batch of one) of the
+/// forest in the model's own document: the per-row reference for
+/// CollectiveModel::jackknife_variances over a candidate grid.
+inline std::vector<double> row_variances(const core::CollectiveModel& model,
+                                         const std::vector<bench::BenchmarkPoint>& points) {
+  const ml::RandomForest forest = ml::RandomForest::from_json(model.to_json().at("forest"));
+  std::vector<double> out(points.size());
+  std::vector<double> scratch;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const ml::FeatureRow row = core::encode_point(points[i]);
+    forest.jackknife_batch(&row, 1, &out[i], nullptr, scratch);
+  }
   return out;
 }
 

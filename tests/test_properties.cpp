@@ -387,12 +387,12 @@ TEST_F(ThreadStress, ForestFitDeterministicUnderRandomDataAndThreads) {
 
 TEST_F(ThreadStress, BatchedForestEvaluationMatchesScalarUnderRandomBatchesAndThreads) {
   // Property: for any forest, batch size, and thread count, the fused SoA
-  // batch kernel agrees bitwise with walking the trees row by row with
-  // DecisionTree::predict. The forest is fit on a random pool size, the
-  // reference trees serially with the same per-tree seeds. Exercises batch
-  // sizes straddling the lane width and thread counts (threads only affect
-  // callers like jackknife_variances; the kernel itself must be a pure
-  // function of the rows).
+  // batch kernel and the grid kernel agree bitwise with walking the trees
+  // row by row with DecisionTree::predict. The forest is fit on a random
+  // pool size, the reference trees serially with the same per-tree seeds.
+  // Exercises batch sizes straddling the lane width, and the grid kernel's
+  // trees and cell reductions on the pool at random thread counts (each
+  // cell must be a pure function of its row).
   util::Rng meta(0xF147);
   const int thread_choices[] = {1, 2, 4, 8};
   for (int trial = 0; trial < 10; ++trial) {
@@ -436,6 +436,29 @@ TEST_F(ThreadStress, BatchedForestEvaluationMatchesScalarUnderRandomBatchesAndTh
         sum += v;
       }
       ASSERT_EQ(mean[r], sum / static_cast<double>(nt)) << "trial=" << trial << " row=" << r;
+    }
+
+    // The grid sweep over a random three-group grid, one feature per group,
+    // at a thread count of its own: each cell against walking its row.
+    ml::ProductGrid grid;
+    for (std::size_t f = 0; f < 3; ++f) {
+      grid.members.push_back(static_cast<std::size_t>(data.uniform_int(1, 9)));
+      ml::ProductGrid::Feature feature;
+      feature.group = f;
+      for (std::size_t m = 0; m < grid.members.back(); ++m) {
+        feature.values.push_back(f == 1 ? static_cast<double>(data.uniform_int(-1, 4))
+                                        : data.uniform(-10, 10));
+      }
+      grid.features.push_back(std::move(feature));
+    }
+    const int grid_threads = thread_choices[data.index(4)];
+    util::set_global_threads(grid_threads);
+    const std::vector<double> grid_var = forest.jackknife_grid(grid);
+    ASSERT_EQ(grid_var.size(), grid.n_rows());
+    for (std::size_t r = 0; r < grid.n_rows(); ++r) {
+      ASSERT_EQ(grid_var[r],
+                ml::jackknife_variance(testing_support::walk_trees(trees, grid.row(r))))
+          << "trial=" << trial << " threads=" << grid_threads << " cell=" << r;
     }
   }
 }

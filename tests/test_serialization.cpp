@@ -141,9 +141,13 @@ TEST(ModelSerialization, RoundTripSelectionsIdentical) {
   for (const auto& s : testing_support::small_space().scenarios(coll::Collective::Bcast)) {
     EXPECT_EQ(back.select(s), model.select(s)) << s.to_string();
   }
-  const std::vector<bench::BenchmarkPoint> points = ds.points(coll::Collective::Bcast);
-  const std::vector<double> back_var = back.jackknife_variances(points);
-  const std::vector<double> var = model.jackknife_variances(points);
+  // Every point of the dataset: its full grid's candidates, P2 and non-P2.
+  const core::FeatureSpace space =
+      core::FeatureSpace::from_grid(testing_support::small_full_grid());
+  const std::vector<bench::BenchmarkPoint> points = space.candidates(coll::Collective::Bcast);
+  ASSERT_EQ(points.size(), ds.points(coll::Collective::Bcast).size());
+  const std::vector<double> back_var = back.jackknife_variances(space.grid(coll::Collective::Bcast));
+  const std::vector<double> var = model.jackknife_variances(space.grid(coll::Collective::Bcast));
   for (std::size_t i = 0; i < points.size(); ++i) {
     EXPECT_DOUBLE_EQ(back.predict_log_us(points[i]), model.predict_log_us(points[i]));
     EXPECT_DOUBLE_EQ(back_var[i], var[i]);
