@@ -15,15 +15,13 @@ FeatureGrid FeatureGrid::p2(int max_nodes, int max_ppn, std::uint64_t min_msg,
   require(util::is_power_of_two(min_msg) && util::is_power_of_two(max_msg) && min_msg <= max_msg,
           "message bounds must be powers of two with min <= max");
   FeatureGrid g;
-  for (int n = 2; n <= max_nodes; n *= 2) {
-    g.nodes.push_back(n);
+  for (const std::uint64_t n : util::doublings(2, static_cast<std::uint64_t>(max_nodes))) {
+    g.nodes.push_back(static_cast<int>(n));
   }
-  for (int p = 1; p <= max_ppn; p *= 2) {
-    g.ppns.push_back(p);
+  for (const std::uint64_t p : util::doublings(1, static_cast<std::uint64_t>(max_ppn))) {
+    g.ppns.push_back(static_cast<int>(p));
   }
-  for (std::uint64_t m = min_msg; m <= max_msg; m *= 2) {
-    g.msgs.push_back(m);
-  }
+  g.msgs = util::doublings(min_msg, max_msg);
   return g;
 }
 

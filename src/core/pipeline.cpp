@@ -8,6 +8,7 @@
 #include "telemetry/trace.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace acclaim::core {
@@ -32,18 +33,14 @@ PipelineResult AcclaimPipeline::run(const JobSpec& spec, const WarmStartMap& war
   // P2 training axes bounded by the job (the model must cover everything
   // the application may invoke inside this allocation).
   std::vector<int> nodes;
-  for (int n = 2; n <= spec.nnodes; n *= 2) {
-    nodes.push_back(n);
+  for (const std::uint64_t n : util::doublings(2, static_cast<std::uint64_t>(spec.nnodes))) {
+    nodes.push_back(static_cast<int>(n));
   }
   std::vector<int> ppns;
-  for (int p = 1; p <= spec.ppn; p *= 2) {
-    ppns.push_back(p);
+  for (const std::uint64_t p : util::doublings(1, static_cast<std::uint64_t>(spec.ppn))) {
+    ppns.push_back(static_cast<int>(p));
   }
-  std::vector<std::uint64_t> msgs;
-  for (std::uint64_t m = spec.min_msg; m <= spec.max_msg; m *= 2) {
-    msgs.push_back(m);
-  }
-  const FeatureSpace space(nodes, ppns, msgs);
+  const FeatureSpace space(nodes, ppns, util::doublings(spec.min_msg, spec.max_msg));
 
   LiveEnvironment env(topo_, alloc, spec.job_seed);
 

@@ -130,4 +130,16 @@ std::uint64_t ceil_power_of_two(std::uint64_t v) {
   return p;
 }
 
+std::vector<std::uint64_t> doublings(std::uint64_t first, std::uint64_t last) {
+  require(first >= 1, "a doubling axis must start at 1 or more");
+  std::vector<std::uint64_t> out;
+  for (std::uint64_t v = first; v <= last; v *= 2) {
+    out.push_back(v);
+    if (v > last / 2) {
+      break;  // 2v would pass `last` (or wrap)
+    }
+  }
+  return out;
+}
+
 }  // namespace acclaim::util

@@ -82,4 +82,9 @@ std::uint64_t floor_power_of_two(std::uint64_t v);
 /// Smallest power of two >= v. Requires v >= 1.
 std::uint64_t ceil_power_of_two(std::uint64_t v);
 
+/// The doubling axis first, 2·first, 4·first, ... up to `last` (empty when
+/// first > last). It stops where the next doubling would pass `last`, so it
+/// never wraps and holds at most 64 values. Requires first >= 1.
+std::vector<std::uint64_t> doublings(std::uint64_t first, std::uint64_t last);
+
 }  // namespace acclaim::util

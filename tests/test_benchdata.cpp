@@ -28,6 +28,20 @@ TEST(FeatureGrid, P2AxesAreComplete) {
   EXPECT_EQ(g.scenario_count(), 6u * 6u * 18u);
 }
 
+TEST(FeatureGrid, P2AxesStopAtTheirBounds) {
+  // Each axis ends at its bound: the msg axis at 2^63 (the next doubling
+  // would wrap to 0), the int axes at 2^30 (the next would overflow int).
+  const FeatureGrid g = FeatureGrid::p2(1 << 30, 1 << 30, 1, std::uint64_t{1} << 63);
+  ASSERT_EQ(g.nodes.size(), 30u);
+  EXPECT_EQ(g.nodes.back(), 1 << 30);
+  ASSERT_EQ(g.ppns.size(), 31u);
+  EXPECT_EQ(g.ppns.back(), 1 << 30);
+  ASSERT_EQ(g.msgs.size(), 64u);
+  EXPECT_EQ(g.msgs.back(), std::uint64_t{1} << 63);
+  const FeatureGrid top = FeatureGrid::p2(2, 1, std::uint64_t{1} << 62, std::uint64_t{1} << 63);
+  EXPECT_EQ(top.msgs, (std::vector<std::uint64_t>{std::uint64_t{1} << 62, std::uint64_t{1} << 63}));
+}
+
 TEST(FeatureGrid, RejectsNonP2Bounds) {
   EXPECT_THROW(FeatureGrid::p2(48, 32, 8, 1 << 20), InvalidArgument);
   EXPECT_THROW(FeatureGrid::p2(64, 32, 8, 3 << 19), InvalidArgument);

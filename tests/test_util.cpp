@@ -1,6 +1,7 @@
 // Unit tests for the util library: RNG, statistics, CSV, units, tables.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdio>
 #include <filesystem>
 #include <set>
@@ -120,6 +121,26 @@ TEST(Rng, PowerOfTwoHelpers) {
   EXPECT_EQ(ceil_power_of_two(1), 1u);
   EXPECT_EQ(ceil_power_of_two(33), 64u);
   EXPECT_EQ(ceil_power_of_two(64), 64u);
+}
+
+TEST(Rng, DoublingsStopAtTheirBoundWithoutWrapping) {
+  // The next doubling of 2^63 wraps to 0: the axis must stop before it.
+  EXPECT_EQ(doublings(std::uint64_t{1} << 62, std::uint64_t{1} << 63),
+            (std::vector<std::uint64_t>{std::uint64_t{1} << 62, std::uint64_t{1} << 63}));
+  const std::vector<std::uint64_t> to_max = doublings(8, UINT64_MAX);
+  ASSERT_EQ(to_max.size(), 61u);
+  EXPECT_EQ(to_max.front(), 8u);
+  EXPECT_EQ(to_max.back(), std::uint64_t{1} << 63);
+  // An int axis up to INT_MAX: 2 .. 2^30, every value fits an int.
+  const std::vector<std::uint64_t> ints = doublings(2, INT_MAX);
+  ASSERT_EQ(ints.size(), 30u);
+  for (std::size_t k = 0; k < ints.size(); ++k) {
+    EXPECT_EQ(ints[k], std::uint64_t{2} << k);
+  }
+  EXPECT_EQ(doublings(3, 24), (std::vector<std::uint64_t>{3, 6, 12, 24}));
+  EXPECT_EQ(doublings(1, 1), (std::vector<std::uint64_t>{1}));
+  EXPECT_TRUE(doublings(16, 8).empty());
+  EXPECT_THROW(doublings(0, 8), acclaim::InvalidArgument);
 }
 
 TEST(Stats, RunningStatMatchesBatch) {
