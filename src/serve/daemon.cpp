@@ -5,6 +5,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <istream>
@@ -77,6 +78,35 @@ class LineReader {
 
 }  // namespace
 
+Daemon::Daemon(ServeCore& core, const std::string& model_dir) : core_(core) {
+  if (model_dir.empty()) {
+    return;
+  }
+  std::error_code ec;
+  model_dir_ = std::filesystem::canonical(model_dir, ec);
+  require(!ec && std::filesystem::is_directory(model_dir_, ec),
+          "model directory '" + model_dir + "' is not an existing directory");
+}
+
+std::filesystem::path Daemon::model_file(const std::string& path) const {
+  require(!model_dir_.empty(), "publish is disabled: the daemon has no --model-dir");
+  const std::filesystem::path rel(path);
+  require(rel.is_relative(), "publish path must be relative to the model directory");
+  for (const std::filesystem::path& part : rel) {
+    require(part != "..", "publish path must not leave the model directory");
+  }
+  std::error_code ec;
+  const std::filesystem::path file = std::filesystem::canonical(model_dir_ / rel, ec);
+  require(!ec, "publish path '" + path + "' names no file in the model directory");
+  // A symlink inside the directory may point anywhere: the resolved file
+  // must still lie under the (canonical) directory.
+  const auto [dir_end, file_at] =
+      std::mismatch(model_dir_.begin(), model_dir_.end(), file.begin(), file.end());
+  require(dir_end == model_dir_.end() && file_at != file.end(),
+          "publish path '" + path + "' resolves outside the model directory");
+  return file;
+}
+
 std::string Daemon::handle_line(const std::string& line) {
   static telemetry::Counter& requests = telemetry::metrics().counter("serve.requests");
   static telemetry::Counter& parse_errors = telemetry::metrics().counter("serve.parse_errors");
@@ -117,7 +147,7 @@ std::string Daemon::handle_line(const std::string& line) {
       }
       case Op::Publish: {
         const core::CollectiveModel model =
-            core::CollectiveModel::from_json(util::Json::parse_file(req.path));
+            core::CollectiveModel::from_json(util::Json::parse_file(model_file(req.path).string()));
         const ModelKey key{model.collective(), checked_comm_size(req.nodes, req.ppn),
                            req.topology};
         const std::uint64_t version = core_.publish(key, model);

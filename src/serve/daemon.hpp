@@ -9,6 +9,7 @@
 // the serving core fans the misses out on the global thread pool.
 #pragma once
 
+#include <filesystem>
 #include <iosfwd>
 #include <string>
 
@@ -18,7 +19,12 @@ namespace acclaim::serve {
 
 class Daemon {
  public:
-  explicit Daemon(ServeCore& core) : core_(core) {}
+  /// `model_dir` is the one directory a `publish` request may read model
+  /// files from: its `path` must be relative, must not step out with `..`,
+  /// and must not resolve through a symlink to a file outside it. Without a
+  /// directory (empty), every `publish` is refused. Throws InvalidArgument
+  /// when `model_dir` is not empty and names no existing directory.
+  explicit Daemon(ServeCore& core, const std::string& model_dir = {});
 
   /// Handles one request line, returning the response line (no trailing
   /// newline). Never throws on bad input — the error becomes the response.
@@ -40,7 +46,12 @@ class Daemon {
   bool shutdown_requested() const noexcept { return shutdown_; }
 
  private:
+  /// The model file a publish request names, resolved inside model_dir_.
+  /// Throws InvalidArgument for any path publish refuses.
+  std::filesystem::path model_file(const std::string& path) const;
+
   ServeCore& core_;
+  std::filesystem::path model_dir_;  ///< canonical; empty: publish is refused
   bool shutdown_ = false;
 };
 

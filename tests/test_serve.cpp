@@ -773,9 +773,12 @@ TEST_F(DaemonTest, PublishOfAModelWiderThanItsCollectiveIsRejected) {
   for (util::Json& tree : doc["forest"]["trees"].as_array()) {
     tree["n_features"] = tree.at("n_features").as_number() + 3.0;
   }
-  const std::string path = ::testing::TempDir() + "acclaimd_widened_model.json";
+  serve::Daemon daemon(core_, ::testing::TempDir());
+  const std::string name = "acclaimd_widened_model.json";
+  const std::string path = ::testing::TempDir() + name;
   doc.dump_file(path);
-  const util::Json pub = respond(R"({"op":"publish","path":")" + path + R"("})");
+  const util::Json pub =
+      util::Json::parse(daemon.handle_line(R"({"op":"publish","path":")" + name + R"("})"));
   std::remove(path.c_str());
   EXPECT_FALSE(pub.at("ok").as_bool());
   EXPECT_FALSE(pub.at("error").as_string().empty());
@@ -784,6 +787,74 @@ TEST_F(DaemonTest, PublishOfAModelWiderThanItsCollectiveIsRejected) {
       respond(R"({"op":"query","collective":"bcast","nodes":4,"ppn":8,"msg":4096})");
   ASSERT_TRUE(r.at("ok").as_bool());
   EXPECT_EQ(r.at("version").as_number(), 1.0);
+}
+
+/// A model directory of its own under the test temp dir, with one model
+/// file in it and one beside it (outside), removed at the end.
+class DaemonPublishTest : public DaemonTest {
+ protected:
+  void SetUp() override {
+    std::filesystem::remove_all(root_);
+    std::filesystem::create_directories(dir_);
+    trained_model(coll::Collective::Bcast, -2.0).to_json().dump_file(dir_ + "/model.json");
+    trained_model(coll::Collective::Bcast, -2.0).to_json().dump_file(root_ + "/outside.json");
+  }
+  void TearDown() override { std::filesystem::remove_all(root_); }
+
+  /// The version the daemon answers a bcast query from.
+  double served_version() {
+    const util::Json r =
+        respond(R"({"op":"query","collective":"bcast","nodes":4,"ppn":8,"msg":4096})");
+    EXPECT_TRUE(r.at("ok").as_bool());
+    return r.at("version").as_number();
+  }
+
+  /// Sends a publish of `path` to `daemon` and returns its response.
+  static util::Json publish(serve::Daemon& daemon, const std::string& path) {
+    return util::Json::parse(
+        daemon.handle_line(R"({"op":"publish","path":")" + path + R"("})"));
+  }
+
+  const std::string root_ =
+      ::testing::TempDir() + "acclaimd_publish_" + std::to_string(::getpid());
+  const std::string dir_ = root_ + "/models";
+};
+
+TEST_F(DaemonPublishTest, AFileInsideTheModelDirectoryPublishes) {
+  serve::Daemon daemon(core_, dir_);
+  const util::Json pub = publish(daemon, "model.json");
+  ASSERT_TRUE(pub.at("ok").as_bool()) << pub.dump();
+  EXPECT_EQ(pub.at("version").as_number(), 2.0);
+  EXPECT_EQ(served_version(), 2.0);
+}
+
+TEST_F(DaemonPublishTest, PathsOutsideTheModelDirectoryAreRefused) {
+  std::filesystem::create_symlink(root_ + "/outside.json", dir_ + "/escape.json");
+  std::filesystem::create_directory_symlink(root_, dir_ + "/up");
+  serve::Daemon daemon(core_, dir_);
+  for (const std::string& path :
+       {root_ + "/outside.json", dir_ + "/model.json", std::string("../outside.json"),
+        std::string("sub/../../outside.json"), std::string("escape.json"),
+        std::string("up/outside.json"), std::string("missing.json"), std::string(".")}) {
+    const util::Json pub = publish(daemon, path);
+    EXPECT_FALSE(pub.at("ok").as_bool()) << path;
+    EXPECT_FALSE(pub.at("error").as_string().empty()) << path;
+    EXPECT_EQ(served_version(), 1.0) << path;
+  }
+}
+
+TEST_F(DaemonPublishTest, ADaemonWithoutAModelDirectoryRefusesEveryPublish) {
+  for (const std::string& path : {std::string("model.json"), dir_ + "/model.json"}) {
+    const util::Json pub = respond(R"({"op":"publish","path":")" + path + R"("})");
+    EXPECT_FALSE(pub.at("ok").as_bool()) << path;
+    EXPECT_NE(pub.at("error").as_string().find("--model-dir"), std::string::npos) << path;
+    EXPECT_EQ(served_version(), 1.0) << path;
+  }
+}
+
+TEST_F(DaemonPublishTest, AModelDirectoryMustExist) {
+  EXPECT_THROW(serve::Daemon(core_, root_ + "/absent"), InvalidArgument);
+  EXPECT_THROW(serve::Daemon(core_, dir_ + "/model.json"), InvalidArgument);
 }
 
 TEST_F(DaemonTest, QueryForUnservedCollectiveIsAnErrorResponse) {
